@@ -1,10 +1,14 @@
 """Exact rank computation over a prime field, tuned for wide dense matrices.
 
 The reducer keeps a growing row-reduced basis (RREF: unit pivots, pivot
-columns cleared everywhere) and absorbs incoming rows in blocks: reduce the
-block against the basis with one modular matrix product, run a small
-in-block Gaussian elimination, then clear the new pivot columns from the old
-basis rows.  All products are exact: operands are split into 16-bit halves
+columns cleared everywhere) and absorbs incoming rows in blocks (256 rows by
+default) by recursive rank-profile elimination, after FFPACK's PLUQ: reduce
+the block against the basis with one modular matrix product, take the
+block's own RREF by halving it (the top half's RREF, then the bottom half
+absorbed into that) down to 16-row blocks eliminated row by row, then clear
+the new pivot columns from the old basis with a second product.  Pivot
+columns of an RREF are unit vectors, so both products run on the still-free
+columns only.  All products are exact: operands are split into 16-bit halves
 so the partial float64 matmuls stay below 2^53, which keeps the hot path in
 BLAS.  Entries must live in [0, p) with p < 2^31.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME = 2**31 - 1
+_BASE_ROWS = 16  # blocks this small are eliminated row by row
 
 
 def _as_field(a: np.ndarray, p: int) -> np.ndarray:
@@ -60,7 +65,7 @@ class RowReducer:
         self.p = p
         self.block = block
         self._basis = np.zeros((0, ncols), dtype=np.int64)
-        self._pivots: list[int] = []
+        self._pivots = np.zeros(0, dtype=np.intp)
         self._pending: list[np.ndarray] = []
         self._pending_rows = 0
 
@@ -102,68 +107,61 @@ class RowReducer:
         got = 0
         while self._pending and got < want:
             blk = self._pending.pop(0)
+            if blk.shape[0] > want:  # an oversized array goes in block-sized pieces
+                self._pending.insert(0, blk[want - got :])
+                blk = blk[: want - got]
             take.append(blk)
             got += blk.shape[0]
         self._pending_rows -= got
         if take:
-            self._absorb(np.vstack(take) if len(take) > 1 else take[0].copy())
+            self._absorb(np.vstack(take) if len(take) > 1 else take[0])
 
     def _absorb(self, blk: np.ndarray) -> None:
-        p = self.p
-        if self._pivots:
-            blk = (blk - matmul_mod(blk[:, self._pivots], self._basis, p)) % p
-        new_pivots, new_basis = self._block_rref(blk)
-        if not new_pivots:
-            return
-        if self._pivots:
-            factors = self._basis[:, new_pivots]
-            if np.any(factors):
-                self._basis = (self._basis - matmul_mod(factors, new_basis, p)) % p
-        merged = np.vstack([self._basis, new_basis])
-        pivots = self._pivots + new_pivots
-        order = np.argsort(pivots, kind="stable")
-        self._basis = merged[order]
-        self._pivots = [pivots[i] for i in order]
+        self._pivots, self._basis = _extend(self._pivots, self._basis, blk, self.p)
 
-    def _block_rref(self, blk: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """RREF of one block.  Row operations accumulate in an m x m
-        transform, columns are brought current panel by panel with one
-        matrix product each, and the transform is applied to the full block
-        once at the end; full-width row updates never happen per pivot."""
-        p = self.p
-        m = blk.shape[0]
-        if m == 0:
-            return [], blk
-        transform = np.eye(m, dtype=np.int64)
-        free = np.ones(m, dtype=bool)  # rows not yet chosen as pivot rows
-        pivot_rows: list[int] = []
-        pivot_cols: list[int] = []
-        for start in range(0, self.ncols, m):
-            panel = matmul_mod(transform, blk[:, start : start + m], p)
-            for j in range(panel.shape[1]):
-                col = panel[:, j]
-                candidates = np.nonzero(col * free)[0]
-                if candidates.size == 0:
-                    continue
-                i = int(candidates[0])
-                inv = pow(int(col[i]), -1, p)
-                transform[i] = transform[i] * inv % p
-                panel[i] = panel[i] * inv % p
-                factors = panel[:, j].copy()
+
+def _extend(
+    pivots: np.ndarray, basis: np.ndarray, blk: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """RREF of rowspace(basis) + rowspace(blk), given ``basis`` in RREF with
+    pivot columns ``pivots``; returns (pivots, basis) sorted by pivot."""
+    n = blk.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    red = blk[:, free]
+    if len(pivots):
+        red = (red - matmul_mod(blk[:, pivots], basis[:, free], p)) % p
+    if red.shape[0] > _BASE_ROWS:
+        half = red.shape[0] // 2
+        top = _extend(pivots[:0], np.zeros((0, free.size), dtype=np.int64), red[:half], p)
+        new_piv, new = _extend(*top, red[half:], p)
+    else:
+        rows: list[int] = []
+        cols: list[int] = []
+        for i in range(red.shape[0]):
+            nz = np.flatnonzero(red[i])
+            if nz.size:
+                j = int(nz[0])
+                red[i] = red[i] * pow(int(red[i, j]), -1, p) % p
+                factors = red[:, j].copy()
                 factors[i] = 0
-                nz = np.nonzero(factors)[0]
-                if nz.size:
-                    transform[nz] = (transform[nz] - factors[nz, None] * transform[i][None, :]) % p
-                    panel[nz] = (panel[nz] - factors[nz, None] * panel[i][None, :]) % p
-                free[i] = False
-                pivot_rows.append(i)
-                pivot_cols.append(start + j)
-            if len(pivot_rows) == m:
-                break
-        if not pivot_cols:
-            return [], blk[:0]
-        reduced = matmul_mod(transform[pivot_rows], blk, p)
-        return pivot_cols, reduced
+                red -= factors[:, None] * red[i]
+                red %= p
+                rows.append(i)
+                cols.append(j)
+        new_piv, new = np.array(cols, dtype=np.intp), red[rows]
+    if not new_piv.size:
+        return pivots, basis
+    k = len(pivots)
+    rest = np.delete(free, new_piv)
+    new_piv = free[new_piv]
+    out = np.zeros((k + new.shape[0], n), dtype=np.int64)
+    out[np.arange(k), pivots] = 1
+    out[k:, free] = new
+    if k:
+        out[:k, rest] = (basis[:, rest] - matmul_mod(basis[:, new_piv], out[k:, rest], p)) % p
+    pivots = np.concatenate([pivots, new_piv])
+    order = np.argsort(pivots)
+    return pivots[order], out[order]
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:

@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import linalg
 from .combinatorics import binom, expected_dim
 from .errors import BudgetError
 from .linalg import MAX_PRIME, RowReducer, matmul_mod, rank_mod_p_naive
@@ -269,17 +270,12 @@ class ConditionMatrix:
 
 
 def rank_mod_p(matrix: ConditionMatrix | np.ndarray, p: int | None = None) -> int:
-    """Exact rank over the prime field via incremental row elimination."""
+    """Exact rank over the prime field; a ConditionMatrix carries its prime."""
     if isinstance(matrix, ConditionMatrix):
-        rows, prime = matrix.rows, matrix.prime
-    else:
-        if p is None:
-            raise ValueError("pass the prime when giving a bare array")
-        rows, prime = np.atleast_2d(np.asarray(matrix, dtype=np.int64)), p
-    if rows.size == 0:
-        return 0
-    red = RowReducer(rows.shape[1], prime)
-    return red.add_rows(rows)
+        matrix, p = matrix.rows, matrix.prime
+    elif p is None:
+        raise ValueError("pass the prime when giving a bare array")
+    return linalg.rank_mod_p(matrix, p)
 
 
 def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSequence:

@@ -24,6 +24,38 @@ def test_rank_matches_naive(data):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_multi_block_elimination_matches_naive(data):
+    """Blocks of 4 to 64 rows over up to 70 columns, so a trial spans many
+    blocks and the in-block recursion halves down to its base case; wide,
+    tall, rank-deficient and duplicated-row inputs, tiny and large primes."""
+    p = data.draw(st.sampled_from([2, 3, 97, 2**31 - 1]))
+    block = data.draw(st.sampled_from([4, 16, 64]))
+    m = data.draw(st.integers(1, 70))
+    n = data.draw(st.integers(1, 70))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    if data.draw(st.booleans()):  # rank at most k: a product of thin factors
+        k = data.draw(st.integers(0, min(m, n)))
+        a = matmul_mod(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n)), p)
+    else:
+        a = rng.integers(0, p, (m, n), dtype=np.int64)
+    if data.draw(st.booleans()):
+        a = np.vstack([a, a[rng.integers(0, m, size=data.draw(st.integers(1, m)))]])
+    want = rank_mod_p_naive(a, p)
+    red = RowReducer(n, p, block=block)
+    assert red.add_rows(a) == want
+    assert (red._basis[:, red._pivots] == np.eye(want, dtype=np.int64)).all()
+    assert (np.diff(red._pivots) > 0).all()
+    grouped = RowReducer(n, p, block=block)
+    start = 0
+    while start < a.shape[0]:
+        size = data.draw(st.integers(1, 2 * block))
+        grouped.queue_rows(a[start : start + size])
+        start += size
+    assert grouped.rank == rank_mod_p(a, p) == want
+
+
+@given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_matmul_mod_exact(data):
     p = data.draw(st.sampled_from(PRIMES))
