@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .combinatorics import (
@@ -30,10 +30,8 @@ from .combinatorics import (
     binom,
     expected_dim,
     gamma_r,
-    k0,
     k_general,
     k_quartic,
-    h_planar,
     n_bounds,
 )
 from .errors import BudgetError, FatpointsError
@@ -53,7 +51,6 @@ from .systems import (
     SPORADIC_EXCEPTIONS,
     castelnuovo_split,
     classify,
-    cone_reduce,
     deg1_components,
     deg2_components,
     dominates,
@@ -69,8 +66,8 @@ ASSERTIONS = ("dim", "non_special", "empty")
 
 LEAF_RULES = ("TABLE", "CLOSED_FORM", "ORACLE")
 
-#: rules whose nodes carry no children but rest on a proved lemma
-LEMMA_RULES = ("LF_P2", "LF_P3", "LF_QUARTIC", "LF_GENERAL")
+#: deepest certificate tree that is built or read; honest trees stay far below
+MAX_DEPTH = 64
 
 
 class RuleViolation(FatpointsError):
@@ -132,6 +129,10 @@ class OracleStamp:
     seed: int
     trials: int
 
+    def run_config(self, cfg: FieldConfig) -> FieldConfig:
+        """``cfg`` with this stamp's (prime, seed, trials)."""
+        return replace(cfg, prime=self.prime, seed=self.seed, trials=self.trials)
+
 
 @dataclass(frozen=True)
 class ProofNode:
@@ -186,6 +187,7 @@ NON_SPECIAL = "non_special"
 
 
 def claim_implies(claim: Claim, requirement) -> bool:
+    """Does the claim meet a child requirement or a rule's conclusion?"""
     if requirement == EMPTY:
         return claim.known_dim() == -1
     if requirement == H1_ZERO:
@@ -220,19 +222,6 @@ def _double_point_shape(s: LinearSystem) -> int:
         f"{s}: rule needs double points only",
     )
     return n
-
-
-def _top_point_shape(s: LinearSystem, top: int) -> int:
-    """Shape (top, 2^k): one point of the given multiplicity plus nodes."""
-    _require(s.is_points_only(), f"{s}: rule needs a points-only system")
-    _require(top >= 3, "top multiplicity must be >= 3")
-    k = s.point_count(2)
-    _require(
-        s.point_count(top) == 1
-        and all(fp.multiplicity in (2, top) for fp in s.fat_points),
-        f"{s}: expected shape ({top}, 2^k)",
-    )
-    return k
 
 
 def _nodes(r: int, d: int, n: int, simple: int = 0) -> LinearSystem:
@@ -287,9 +276,15 @@ def _check_closed_form(claim: Claim, params: dict) -> RuleApplication:
 
 
 def _check_oracle(claim: Claim, params: dict) -> RuleApplication:
-    return RuleApplication(
-        sides=(), children=(), conclusion=("dim", claim.known_dim())
+    # a rank reaching min(conditions, columns) proves the dimension; a rank
+    # below it only bounds the dimension from above
+    e = claim.system.expected_dim()
+    _require(
+        claim.known_dim() == e,
+        f"an oracle re-run proves only the expected dimension {e}, claim needs "
+        f"{claim.known_dim()}",
     )
+    return RuleApplication(sides=(), children=(), conclusion=("dim", e))
 
 
 def _check_monotone_down(claim: Claim, params: dict) -> RuleApplication:
@@ -355,51 +350,6 @@ def _check_castelnuovo(claim: Claim, params: dict) -> RuleApplication:
         children=((kernel, H1_ZERO), (trace, H1_ZERO)),
         conclusion=H1_ZERO,
     )
-
-
-def _check_cone(claim: Claim, params: dict) -> RuleApplication:
-    s = claim.system
-    reduced = cone_reduce(s)  # raises if no d-fold point
-    k = claim.known_dim()
-    _require(
-        claim.assertion in ("empty", "dim"),
-        "cone reduction transfers dimensions, not non-speciality",
-    )
-    sides = (_sc("cone_point_present", 1, "== 1"),)
-    return RuleApplication(
-        sides=sides, children=((reduced, ("dim", k)),), conclusion=("dim", k)
-    )
-
-
-def _check_lf(claim: Claim, params: dict, rule: str) -> RuleApplication:
-    s = claim.system
-    k = _top_point_shape(s, s.d - 1)
-    v = s.virtual_dim()
-    if rule == "LF_P2":
-        _require(s.r == 2 and s.d >= 4, "LF_P2 covers r = 2, d >= 4")
-        sides = (
-            _sc("k_matches_h", k - h_planar(s.d), "== 0"),
-            _sc("v_target", v, ">= -1"),
-        )
-    elif rule == "LF_P3":
-        _require(s.r == 3 and s.d >= 4, "LF_P3 covers r = 3, d >= 4")
-        sides = (
-            _sc("k_within_k0", k0(s.d) - k, ">= 0"),
-            _sc("v_target", v, ">= -1"),
-        )
-    elif rule == "LF_QUARTIC":
-        _require(s.d == 4 and s.r >= 2, "LF_QUARTIC covers d = 4, r >= 2")
-        sides = (
-            _sc("k_within_quartic_bound", k_quartic(s.r) - k, ">= 0"),
-            _sc("v_target", v, ">= -1"),
-        )
-    else:  # LF_GENERAL
-        _require(s.r >= 3 and s.d >= 5, "LF_GENERAL covers r >= 3, d >= 5")
-        sides = (
-            _sc("k_within_lf_bound", k_general(s.r, s.d) - k, ">= 0"),
-            _sc("v_target", v, ">= -1"),
-        )
-    return RuleApplication(sides=sides, children=(), conclusion=H1_ZERO)
 
 
 def _check_deg1(claim: Claim, params: dict) -> RuleApplication:
@@ -598,11 +548,6 @@ _CHECKERS: dict[str, Callable[[Claim, dict], RuleApplication]] = {
     "MONOTONE_DOWN": _check_monotone_down,
     "EMPTY_UP": _check_empty_up,
     "CASTELNUOVO": _check_castelnuovo,
-    "CONE": _check_cone,
-    "LF_P2": lambda c, p: _check_lf(c, p, "LF_P2"),
-    "LF_P3": lambda c, p: _check_lf(c, p, "LF_P3"),
-    "LF_QUARTIC": lambda c, p: _check_lf(c, p, "LF_QUARTIC"),
-    "LF_GENERAL": lambda c, p: _check_lf(c, p, "LF_GENERAL"),
     "DEG1": _check_deg1,
     "DEG2": _check_deg2,
     "QUARTIC_R3": lambda c, p: _check_quartic_small(c, p, "QUARTIC_R3"),
@@ -611,8 +556,6 @@ _CHECKERS: dict[str, Callable[[Claim, dict], RuleApplication]] = {
     "CUBIC_BASE": lambda c, p: _check_cubic(c, p, "CUBIC_BASE"),
     "CUBIC_STEP": lambda c, p: _check_cubic(c, p, "CUBIC_STEP"),
 }
-
-RULES = tuple(_CHECKERS)
 
 
 def derive_application(claim: Claim, rule: str, params: dict) -> RuleApplication:
@@ -624,19 +567,40 @@ def derive_application(claim: Claim, rule: str, params: dict) -> RuleApplication
     return checker(claim, params)
 
 
+def check_node(
+    claim: Claim, rule: str, params: dict, children: tuple[ProofNode, ...]
+) -> RuleApplication:
+    """Derive a rule instance and check a node against it: the side
+    conditions hold, the conclusion supports the claim, and each child
+    concerns the derived system and meets its requirement.  Children are
+    judged by their claims only.  Raises :class:`RuleViolation` naming the
+    first failure."""
+    app = derive_application(claim, rule, params)
+    for sc in app.sides:
+        if not sc.holds():
+            raise RuleViolation(f"side condition {sc.name!r} fails: {sc.value} {sc.relation}")
+    if not claim_implies(claim, app.conclusion):
+        raise RuleViolation("claim not supported by the rule's conclusion")
+    if rule in LEAF_RULES and children:
+        raise RuleViolation("leaf rule with children")
+    if len(children) != len(app.children):
+        raise RuleViolation(f"expected {len(app.children)} children, found {len(children)}")
+    for i, (child, (want_sys, requirement)) in enumerate(zip(children, app.children)):
+        if child.claim.system != want_sys:
+            raise RuleViolation(
+                f"child {i} should concern {want_sys}, found {child.claim.system}"
+            )
+        if not claim_implies(child.claim, requirement):
+            raise RuleViolation(
+                f"child {i} claim {child.claim.describe()!r} does not imply "
+                f"requirement {requirement!r}"
+            )
+    return app
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def _claim_matches_conclusion(claim: Claim, conclusion) -> bool:
-    if conclusion == H1_ZERO:
-        return claim.gives_h1_zero()
-    if conclusion == EMPTY:
-        return claim.known_dim() == -1
-    if isinstance(conclusion, tuple) and conclusion[0] == "dim":
-        return claim.known_dim() == conclusion[1]
-    raise ValueError(f"bad conclusion {conclusion!r}")
 
 
 class _Reject(Exception):
@@ -689,91 +653,51 @@ class _VerifyState:
     accepted: set[tuple]
 
 
+def _check_recorded_sides(recorded: tuple[SideCondition, ...], app: RuleApplication) -> None:
+    if len(app.sides) != len(recorded):
+        raise RuleViolation(
+            f"expected {len(app.sides)} side conditions, found {len(recorded)}"
+        )
+    for got, want in zip(recorded, app.sides):
+        if got.name != want.name or got.relation != want.relation:
+            raise RuleViolation(
+                f"side condition {want.name!r} recorded as {got.name!r} "
+                f"with relation {got.relation!r}"
+            )
+        if got.value != want.value:
+            raise RuleViolation(
+                f"side condition {got.name!r} recorded value {got.value} "
+                f"!= recomputed {want.value}"
+            )
+
+
+def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
+    if node.oracle is None:
+        raise RuleViolation("oracle leaf without a stamp")
+    report = dimension(node.claim.system, node.oracle.run_config(cfg))
+    if report.dim != node.claim.known_dim():
+        raise RuleViolation(
+            f"oracle re-run found dim {report.dim}, claim needs {node.claim.known_dim()}"
+        )
+
+
 def _verify_node(
     node: ProofNode, path: tuple[int, ...], cfg: FieldConfig, state: _VerifyState
 ) -> None:
     fp = _fingerprint(node, state.fp_cache)
     if fp in state.accepted:
         return
-    where = f"node {'/'.join(map(str, path)) or 'root'} [{node.rule}] {node.claim.describe()}"
     try:
-        app = derive_application(node.claim, node.rule, dict(node.params))
+        app = check_node(node.claim, node.rule, dict(node.params), node.children)
+        _check_recorded_sides(node.side_conditions, app)
+        if node.rule == "ORACLE":
+            _rerun_oracle(node, cfg)
     except BudgetError:
         raise
     except (FatpointsError, ValueError, KeyError, TypeError) as exc:
+        where = f"node {'/'.join(map(str, path)) or 'root'} [{node.rule}] {node.claim.describe()}"
         raise _Reject(f"{where}: {exc}", path) from exc
-
-    if len(app.sides) != len(node.side_conditions):
-        raise _Reject(
-            f"{where}: expected {len(app.sides)} side conditions, found "
-            f"{len(node.side_conditions)}",
-            path,
-        )
-    for got, want in zip(node.side_conditions, app.sides):
-        if got.name != want.name or got.relation != want.relation:
-            raise _Reject(
-                f"{where}: side condition {want.name!r} recorded as {got.name!r} "
-                f"with relation {got.relation!r}",
-                path,
-            )
-        if got.value != want.value:
-            raise _Reject(
-                f"{where}: side condition {got.name!r} recorded value {got.value} "
-                f"!= recomputed {want.value}",
-                path,
-            )
-        if not want.holds():
-            raise _Reject(
-                f"{where}: side condition {want.name!r} fails: "
-                f"{want.value} {want.relation}",
-                path,
-            )
-
-    if not _claim_matches_conclusion(node.claim, app.conclusion):
-        raise _Reject(f"{where}: claim not supported by the rule's conclusion", path)
-
-    if node.rule == "ORACLE":
-        if node.oracle is None:
-            raise _Reject(f"{where}: oracle leaf without a stamp", path)
-        run_cfg = FieldConfig(
-            prime=node.oracle.prime,
-            trials=node.oracle.trials,
-            seed=node.oracle.seed,
-            max_columns=cfg.max_columns,
-            subspace_mode=cfg.subspace_mode,
-        )
-        report = dimension(node.claim.system, run_cfg)
-        if report.dim != node.claim.known_dim():
-            raise _Reject(
-                f"{where}: oracle re-run found dim {report.dim}, claim needs "
-                f"{node.claim.known_dim()}",
-                path,
-            )
-
-    if node.rule in LEAF_RULES or node.rule in LEMMA_RULES:
-        if node.children:
-            raise _Reject(f"{where}: leaf rule with children", path)
-        state.accepted.add(fp)
-        return
-
-    if len(node.children) != len(app.children):
-        raise _Reject(
-            f"{where}: expected {len(app.children)} children, found {len(node.children)}",
-            path,
-        )
-    for i, (child, (want_sys, requirement)) in enumerate(zip(node.children, app.children)):
-        if child.claim.system != want_sys:
-            raise _Reject(
-                f"{where}: child {i} should concern {want_sys}, found "
-                f"{child.claim.system}",
-                path,
-            )
-        if not claim_implies(child.claim, requirement):
-            raise _Reject(
-                f"{where}: child {i} claim {child.claim.describe()!r} does not "
-                f"imply requirement {requirement!r}",
-                path,
-            )
+    for i, child in enumerate(node.children):
         _verify_node(child, path + (i,), cfg, state)
     state.accepted.add(fp)
 
@@ -807,7 +731,9 @@ def _node_to_dict(node: ProofNode) -> dict:
     return out
 
 
-def _node_from_dict(data: dict) -> ProofNode:
+def _node_from_dict(data: dict, depth: int = 1) -> ProofNode:
+    if depth > MAX_DEPTH:
+        raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
     claim = Claim(
         system=LinearSystem.parse(data["claim"]["system"]),
         assertion=data["claim"]["assert"],
@@ -820,15 +746,18 @@ def _node_from_dict(data: dict) -> ProofNode:
             seed=int(data["oracle"]["seed"]),
             trials=int(data["oracle"]["trials"]),
         )
+    params = dict(data.get("params", {}))
+    if any(isinstance(v, (list, dict)) for v in params.values()):
+        raise FatpointsError("rule parameters are scalars")
     return ProofNode(
         claim=claim,
         rule=str(data["rule"]),
-        params=dict(data.get("params", {})),
+        params=params,
         side_conditions=tuple(
             SideCondition(sc["name"], int(sc["value"]), sc["relation"])
             for sc in data.get("side_conditions", [])
         ),
-        children=tuple(_node_from_dict(c) for c in data.get("children", [])),
+        children=tuple(_node_from_dict(c, depth + 1) for c in data.get("children", [])),
         oracle=oracle,
     )
 
@@ -840,7 +769,12 @@ def certificate_to_json(root: ProofNode) -> str:
 
 
 def certificate_from_json(text: str) -> ProofNode:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise FatpointsError("certificate nested too deeply to parse") from exc
+    if not isinstance(data, dict):
+        raise FatpointsError("a certificate is a JSON object")
     version = data.get("version")
     if version != CERTIFICATE_VERSION:
         raise FatpointsError(f"unsupported certificate version {version!r}")
@@ -858,11 +792,6 @@ _RULE_NOTES = {
     "MONOTONE_DOWN": "conditions stay independent after removing some of them",
     "EMPTY_UP": "an empty system stays empty under extra conditions",
     "CASTELNUOVO": "restriction to a hyperplane through specialized points",
-    "CONE": "a d-fold point makes members cones; project from the vertex",
-    "LF_P2": "planar systems with a (d-1)-fold point are non-special up to h(d) nodes",
-    "LF_P3": "space systems with a (d-1)-fold point are non-special up to k0(d) nodes",
-    "LF_QUARTIC": "quartics with a triple point are non-special up to k(r) nodes",
-    "LF_GENERAL": "systems with a (d-1)-fold point are non-special up to k(r,d) nodes",
     "DEG1": "two-component degeneration, b nodes on the exceptional component",
     "DEG2": "second degeneration: beta of the b nodes slide into the intersection",
     "QUARTIC_R3": "(1,4)-degeneration of quartic surfaces",

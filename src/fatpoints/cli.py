@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .certificates import certificate_from_json, certificate_to_json, explain, verify
 from .combinatorics import expected_dim, n_bounds, virtual_dim
@@ -64,10 +65,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     report = dimension(sys_, cfg)
     reports = [report]
     if args.cross_prime:
-        other = FieldConfig(
-            prime=args.cross_prime, trials=args.trials, seed=args.seed, max_columns=args.max_cols
-        )
-        reports.append(dimension(sys_, other))
+        reports.append(dimension(sys_, replace(cfg, prime=args.cross_prime)))
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
         text = json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True) + "\n"
@@ -168,12 +166,7 @@ def _sweep_one(args: argparse.Namespace, prover: Prover, key: tuple[int, int, in
         "rule": "-",
         "ms": 0,
     }
-    cfg = FieldConfig(
-        prime=args.prime,
-        trials=args.trials,
-        seed=_row_seed(args.seed, r, d, n),
-        max_columns=args.max_cols,
-    )
+    cfg = replace(_config(args), seed=_row_seed(args.seed, r, d, n))
     try:
         report = dimension(LinearSystem.nodes(r, d, n), cfg)
         row["oracle_dim"] = report.dim
@@ -192,11 +185,7 @@ def _sweep_one(args: argparse.Namespace, prover: Prover, key: tuple[int, int, in
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     keys = _sweep_rows(args)
-    prover = Prover(
-        FieldConfig(
-            prime=args.prime, trials=args.trials, seed=args.seed, max_columns=args.max_cols
-        )
-    )
+    prover = Prover(_config(args))
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(lambda k: _sweep_one(args, prover, k), keys))

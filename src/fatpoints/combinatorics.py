@@ -90,6 +90,10 @@ def k_general(r: int, d: int) -> int:
     """
     if r < 3 or d < 4:
         raise ValueError(f"k_general: need r >= 3 and d >= 4, got ({r}, {d})")
+    return _k_raw(r, d)
+
+
+def _k_raw(r: int, d: int) -> int:
     return (binom(r + d, r) - binom(r + d - 2, r)) // (r + 1) - (r - 2)
 
 
@@ -101,8 +105,7 @@ def lf_bounds(r: int, d: int) -> tuple[int, int, int, int]:
     """
     if r < 2 or d < 3:
         raise ValueError(f"lf_bounds: need r >= 2 and d >= 3, got ({r}, {d})")
-    krd = (binom(r + d, r) - binom(r + d - 2, r)) // (r + 1) - (r - 2)
-    return k_quartic(r), k0(d), h_planar(d), krd
+    return k_quartic(r), k0(d), h_planar(d), _k_raw(r, d)
 
 
 def b0_decompose(r: int, d: int) -> tuple[int, int]:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from . import linalg
 from .combinatorics import binom, expected_dim
 from .errors import BudgetError
 from .linalg import MAX_PRIME, RowReducer, matmul_mod, rank_mod_p_naive
@@ -257,27 +256,6 @@ def _axis_subspace(r: int, codim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConditionMatrix:
-    """Assembled interpolation matrix for one random placement."""
-
-    rows: np.ndarray
-    prime: int
-    system: LinearSystem | None = None
-
-    def __post_init__(self) -> None:
-        self.rows = np.atleast_2d(np.asarray(self.rows, dtype=np.int64)) % self.prime
-
-
-def rank_mod_p(matrix: ConditionMatrix | np.ndarray, p: int | None = None) -> int:
-    """Exact rank over the prime field; a ConditionMatrix carries its prime."""
-    if isinstance(matrix, ConditionMatrix):
-        matrix, p = matrix.rows, matrix.prime
-    elif p is None:
-        raise ValueError("pass the prime when giving a bare array")
-    return linalg.rank_mod_p(matrix, p)
-
-
 def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSequence:
     h = hashlib.blake2b(f"{sys_text}|{trial}".encode(), digest_size=8).digest()
     return np.random.SeedSequence([cfg.seed & (2**64 - 1), int.from_bytes(h, "little")])
@@ -319,15 +297,15 @@ def _row_blocks(
 
 def condition_matrix(
     sys: LinearSystem, cfg: FieldConfig | None = None, trial: int = 0
-) -> ConditionMatrix:
-    """Materialize the full interpolation matrix for one trial's placement."""
+) -> np.ndarray:
+    """Materialize the full interpolation matrix for one trial's placement,
+    entries reduced mod ``cfg.prime``."""
     cfg = cfg or FieldConfig()
     _check_budget(sys, cfg)
     rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
     blocks = list(_row_blocks(sys, cfg, rng))
     ncols = sys.monomial_count()
-    rows = np.vstack(blocks) if blocks else np.zeros((0, ncols), dtype=np.int64)
-    return ConditionMatrix(rows, cfg.prime, sys)
+    return np.vstack(blocks) if blocks else np.zeros((0, ncols), dtype=np.int64)
 
 
 def _check_budget(sys: LinearSystem, cfg: FieldConfig) -> None:
@@ -397,9 +375,3 @@ def is_empty(sys: LinearSystem, cfg: FieldConfig | None = None) -> bool:
             return True
     return False
 
-
-def cross_check(sys: LinearSystem, cfg: FieldConfig, second_prime: int) -> tuple[DimensionReport, DimensionReport]:
-    """Run the oracle under two independent primes; mismatching dimensions
-    flag an unlucky draw."""
-    other = replace(cfg, prime=second_prime)
-    return dimension(sys, cfg), dimension(sys, other)

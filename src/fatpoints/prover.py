@@ -10,9 +10,10 @@ counts n^- and n^+.  Any goal whose rule chain fails falls back to a
 finite-field oracle leaf when the column budget allows; otherwise proving
 fails with the first unsatisfiable side condition named.
 
-Side conditions and child shapes are derived by the same rule semantics the
-independent verifier uses (:mod:`fatpoints.certificates`); the prover only
-chooses which rule to apply where.
+Side conditions and child shapes are derived, and each node is checked, by
+the same rule semantics the independent verifier uses
+(:func:`fatpoints.certificates.check_node`); the prover only chooses which
+rule to apply where.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import hashlib
 
 from .certificates import (
+    MAX_DEPTH,
     Claim,
     OracleStamp,
     ProofNode,
     RuleViolation,
-    _claim_matches_conclusion,
-    claim_implies,
-    derive_application,
+    check_node,
 )
 from .combinatorics import b0_decompose, gamma_r, n_bounds
 from .errors import FatpointsError
@@ -54,9 +54,8 @@ def _leaf_seed(seed: int, sys: LinearSystem) -> int:
 
 
 class Prover:
-    def __init__(self, cfg: FieldConfig | None = None, max_depth: int = 64):
+    def __init__(self, cfg: FieldConfig | None = None):
         self.cfg = cfg or FieldConfig()
-        self.max_depth = max_depth
         self._memo: dict[tuple[str, str], ProofNode] = {}
 
     # -- node assembly -------------------------------------------------------
@@ -70,25 +69,9 @@ class Prover:
         oracle: OracleStamp | None = None,
     ) -> ProofNode:
         try:
-            app = derive_application(claim, rule, params)
+            app = check_node(claim, rule, params, children)
         except (RuleViolation, ValueError) as exc:
             raise ProveError(f"{rule} on {claim.describe()}: {exc}") from exc
-        for sc in app.sides:
-            if not sc.holds():
-                raise ProveError(
-                    f"{rule} on {claim.describe()}: side condition {sc.name!r} "
-                    f"fails ({sc.value} {sc.relation})"
-                )
-        if not _claim_matches_conclusion(claim, app.conclusion):
-            raise ProveError(f"{rule} does not support {claim.describe()!r}")
-        if len(children) != len(app.children):
-            raise ProveError(f"{rule}: wrong child count")
-        for child, (want_sys, req) in zip(children, app.children):
-            if child.claim.system != want_sys or not claim_implies(child.claim, req):
-                raise ProveError(
-                    f"{rule}: child {child.claim.describe()!r} does not discharge "
-                    f"premise {req!r} on {want_sys}"
-                )
         return ProofNode(claim, rule, dict(params), app.sides, children, oracle)
 
     def _with_assertion(self, node: ProofNode, assertion: str) -> ProofNode:
@@ -104,14 +87,7 @@ class Prover:
         stamp = OracleStamp(
             prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
         )
-        run_cfg = FieldConfig(
-            prime=stamp.prime,
-            trials=stamp.trials,
-            seed=stamp.seed,
-            max_columns=self.cfg.max_columns,
-            subspace_mode=self.cfg.subspace_mode,
-        )
-        report = dimension(sys, run_cfg)  # raises BudgetError when too wide
+        report = dimension(sys, stamp.run_config(self.cfg))  # raises BudgetError when too wide
         claim = Claim(sys, assertion, value)
         if report.dim != claim.known_dim():
             raise ProveError(
@@ -135,7 +111,7 @@ class Prover:
         return node
 
     def _guard(self, depth: int) -> int:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             raise ProveError("proof depth budget exhausted")
         return depth + 1
 
@@ -500,6 +476,6 @@ class Prover:
         raise ProveError(f"{sys}: node count below n^+; emptiness does not hold")
 
 
-def prove(r: int, d: int, n: int, cfg: FieldConfig | None = None, max_depth: int = 64) -> ProofNode:
+def prove(r: int, d: int, n: int, cfg: FieldConfig | None = None) -> ProofNode:
     """Certificate for the dimension of n double points in degree d on P^r."""
-    return Prover(cfg, max_depth).prove(r, d, n)
+    return Prover(cfg).prove(r, d, n)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 
@@ -13,9 +14,10 @@ from fatpoints import (
     certificate_from_json,
     certificate_to_json,
     explain,
+    prove,
     verify,
 )
-from fatpoints.certificates import OracleStamp, claim_implies
+from fatpoints.certificates import OracleStamp, RuleViolation, claim_implies, derive_application
 from fatpoints.errors import FatpointsError
 
 
@@ -184,3 +186,75 @@ def test_budget_propagates(prover):
 
     with pytest.raises(BudgetError):
         verify(cert, FieldConfig(max_columns=10))
+
+
+# together these certificates use every rule of the catalog
+PINNED_KEYS = [
+    (2, 4, 5), (3, 4, 8), (3, 4, 11), (4, 3, 6), (4, 4, 14), (3, 5, 14),
+    (3, 6, 20), (5, 4, 21), (5, 3, 9), (8, 3, 18), (4, 6, 42),
+]
+PINNED_SHA256 = "8ebfef69ac20d2d0d8541a0d43e3ef6bb24dd2142fe25ff0a2a9865979193166"
+EMITTED_RULES = {
+    "TABLE", "CLOSED_FORM", "ORACLE", "MONOTONE_DOWN", "EMPTY_UP", "CASTELNUOVO",
+    "DEG1", "DEG2", "QUARTIC_R3", "QUARTIC_R4", "QUARTIC_GEN", "CUBIC_BASE", "CUBIC_STEP",
+}
+
+
+def _rules(node, acc):
+    acc.add(node.rule)
+    for child in node.children:
+        _rules(child, acc)
+    return acc
+
+
+def test_certificate_bytes_pinned():
+    certs = [prove(*key) for key in PINNED_KEYS]
+    text = "".join(certificate_to_json(c) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+    used = set()
+    for cert in certs:
+        _rules(cert, used)
+    assert used == EMITTED_RULES
+
+
+def test_rule_catalog_holds_only_emitted_rules():
+    claim = Claim(LinearSystem.parse("L(r=3,d=5; 4, 2^3)"), "non_special")
+    for rule in ("CONE", "LF_P2", "LF_P3", "LF_QUARTIC", "LF_GENERAL"):
+        with pytest.raises(RuleViolation, match="unknown rule"):
+            derive_application(claim, rule, {})
+    for rule in EMITTED_RULES:
+        try:
+            derive_application(claim, rule, {})
+        except (RuleViolation, ValueError, KeyError) as exc:
+            assert "unknown rule" not in str(exc), rule
+    # the childless lemma node that used to pass as an axiom
+    res = verify(ProofNode(claim=claim, rule="LF_GENERAL"))
+    assert not res.accepted and "unknown rule" in res.reason
+
+
+@pytest.mark.parametrize(
+    "system, value, seed",
+    [("L(r=2,d=10; 2^21)", 3, 1)]
+    + [("L(r=4,d=6; 2^42)", 0, seed) for seed in (8, 11, 37, 56, 74, 80)],
+)
+def test_oracle_leaf_proves_only_expected_dim(system, value, seed):
+    # one trial mod 41 misses the rank ceiling at these seeds: the re-run
+    # agrees with the false claim, which only the rule itself can refuse
+    node = ProofNode(
+        claim=Claim(LinearSystem.parse(system), "dim", value),
+        rule="ORACLE",
+        oracle=OracleStamp(prime=41, seed=seed, trials=1),
+    )
+    res = verify(node)
+    assert not res.accepted and "expected dimension" in res.reason
+
+
+def test_deep_certificate_rejected_when_read():
+    leaf = {"claim": {"system": "L(r=2,d=2)", "assert": "non_special", "value": None},
+            "rule": "CLOSED_FORM", "params": {"family": "complete"},
+            "side_conditions": [{"name": "condition_count", "value": 0, "relation": "== 0"}]}
+    node = dict(leaf, children=[])
+    for _ in range(70):
+        node = dict(leaf, children=[node])
+    with pytest.raises(FatpointsError, match="deeper than"):
+        certificate_from_json(json.dumps({"version": 1, **node}))

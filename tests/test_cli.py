@@ -156,3 +156,26 @@ def test_sweep_json_mirrors_rows(capsys):
         set(row) == {"r", "d", "n", "virtual", "expected", "oracle_dim", "special", "rule", "ms"}
         for row in rows
     )
+
+
+def test_verify_deeply_nested_exit_one(tmp_path, capsys):
+    node = '{"claim":{"system":"L(r=2,d=2)","assert":"non_special","value":null},' \
+        '"rule":"CLOSED_FORM","params":{"family":"complete"},"side_conditions":[],' \
+        '"children":[%s]}'
+    text = ""
+    for _ in range(1000):
+        text = node % text
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version":1,' + text[1:])
+    code, _, err = run(capsys, "verify", str(deep))
+    assert code == EXIT_REJECT and "Reject" in err
+
+
+def test_verify_list_parameter_exit_one(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(capsys, "prove", "3", "5", "14", "-o", str(cert))
+    data = json.loads(cert.read_text())
+    data["params"]["b"] = [7]
+    cert.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert))
+    assert code == EXIT_REJECT and "Reject" in err

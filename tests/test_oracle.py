@@ -76,8 +76,8 @@ def test_subspace_conditions_count():
 
 def test_rank_examples(cfg):
     cm = condition_matrix(LinearSystem.nodes(4, 3, 7), cfg)
-    assert cm.rows.shape == (35, 35)
-    assert rank_mod_p(cm) == 34  # h^0 = 1: the secant cubic
+    assert cm.shape == (35, 35)
+    assert rank_mod_p(cm, cfg.prime) == 34  # h^0 = 1: the secant cubic
 
 
 def test_dimension_examples(cfg):
