@@ -278,13 +278,7 @@ def _check_closed_form(claim: Claim, params: dict) -> RuleApplication:
 def _check_oracle(claim: Claim, params: dict) -> RuleApplication:
     # a rank reaching min(conditions, columns) proves the dimension; a rank
     # below it only bounds the dimension from above
-    e = claim.system.expected_dim()
-    _require(
-        claim.known_dim() == e,
-        f"an oracle re-run proves only the expected dimension {e}, claim needs "
-        f"{claim.known_dim()}",
-    )
-    return RuleApplication(sides=(), children=(), conclusion=("dim", e))
+    return RuleApplication(sides=(), children=(), conclusion=NON_SPECIAL)
 
 
 def _check_monotone_down(claim: Claim, params: dict) -> RuleApplication:
@@ -688,10 +682,11 @@ def _verify_node(
     if fp in state.accepted:
         return
     try:
-        app = check_node(node.claim, node.rule, dict(node.params), node.children)
-        _check_recorded_sides(node.side_conditions, app)
+        # re-run first, so a claim the oracle refutes is rejected as refuted
         if node.rule == "ORACLE":
             _rerun_oracle(node, cfg)
+        app = check_node(node.claim, node.rule, dict(node.params), node.children)
+        _check_recorded_sides(node.side_conditions, app)
     except BudgetError:
         raise
     except (FatpointsError, ValueError, KeyError, TypeError) as exc:
@@ -735,9 +730,9 @@ def _node_from_dict(data: dict, depth: int = 1) -> ProofNode:
     if depth > MAX_DEPTH:
         raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
     claim = Claim(
-        system=LinearSystem.parse(data["claim"]["system"]),
+        system=LinearSystem.parse(str(data["claim"]["system"])),
         assertion=data["claim"]["assert"],
-        value=data["claim"].get("value"),
+        value=None if data["claim"].get("value") is None else int(data["claim"]["value"]),
     )
     oracle = None
     if "oracle" in data:
@@ -754,7 +749,7 @@ def _node_from_dict(data: dict, depth: int = 1) -> ProofNode:
         rule=str(data["rule"]),
         params=params,
         side_conditions=tuple(
-            SideCondition(sc["name"], int(sc["value"]), sc["relation"])
+            SideCondition(str(sc["name"]), int(sc["value"]), str(sc["relation"]))
             for sc in data.get("side_conditions", [])
         ),
         children=tuple(_node_from_dict(c, depth + 1) for c in data.get("children", [])),

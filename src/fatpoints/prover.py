@@ -80,15 +80,15 @@ class Prover:
             raise ProveError("assertion change would alter the claimed dimension")
         return self._make(claim, node.rule, node.params, node.children, node.oracle)
 
-    def _oracle_leaf(self, sys: LinearSystem, assertion: str, value: int | None = None) -> ProofNode:
-        key = (str(sys), f"oracle:{assertion}:{value}")
+    def _oracle_leaf(self, sys: LinearSystem, assertion: str) -> ProofNode:
+        key = (str(sys), f"oracle:{assertion}")
         if key in self._memo:
             return self._memo[key]
         stamp = OracleStamp(
             prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
         )
         report = dimension(sys, stamp.run_config(self.cfg))  # raises BudgetError when too wide
-        claim = Claim(sys, assertion, value)
+        claim = Claim(sys, assertion)
         if report.dim != claim.known_dim():
             raise ProveError(
                 f"oracle found dim {report.dim} for {sys}, cannot certify "

@@ -246,7 +246,19 @@ def test_oracle_leaf_proves_only_expected_dim(system, value, seed):
         oracle=OracleStamp(prime=41, seed=seed, trials=1),
     )
     res = verify(node)
-    assert not res.accepted and "expected dimension" in res.reason
+    assert not res.accepted and "claim not supported" in res.reason
+
+
+def test_oracle_rerun_refutes_expected_dim_claim():
+    # the special quartic system: claiming its expected dimension passes the
+    # rule, and only the re-run finds the extra section
+    node = ProofNode(
+        claim=Claim(LinearSystem.parse("L(r=2,d=4; 2^5)"), "empty"),
+        rule="ORACLE",
+        oracle=OracleStamp(prime=2**31 - 1, seed=12, trials=3),
+    )
+    res = verify(node)
+    assert not res.accepted and "oracle re-run found dim 0" in res.reason
 
 
 def test_deep_certificate_rejected_when_read():

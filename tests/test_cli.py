@@ -174,8 +174,19 @@ def test_verify_deeply_nested_exit_one(tmp_path, capsys):
 def test_verify_list_parameter_exit_one(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "prove", "3", "5", "14", "-o", str(cert))
-    data = json.loads(cert.read_text())
-    data["params"]["b"] = [7]
-    cert.write_text(json.dumps(data))
-    code, _, err = run(capsys, "verify", str(cert))
-    assert code == EXIT_REJECT and "Reject" in err
+    good = json.loads(cert.read_text())
+    leaf = {"claim": {"system": "L(r=2,d=2)", "assert": "dim", "value": [0]},
+            "rule": "CLOSED_FORM", "params": {"family": "complete"}}
+    tampered = [
+        dict(good, params=dict(good["params"], b=[7])),
+        dict(good, claim=dict(good["claim"], value=[0])),
+        dict(good, claim=dict(good["claim"], system=[0])),
+        dict(good, side_conditions=[dict(sc, relation=[">= -1"])
+                                    for sc in good["side_conditions"]]),
+        dict(good, side_conditions=[dict(sc, name={}) for sc in good["side_conditions"]]),
+        dict(good, children=[leaf]),
+    ]
+    for data in tampered:
+        cert.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(cert))
+        assert code == EXIT_REJECT and "Reject" in err
