@@ -623,16 +623,30 @@ def _fingerprint(node: ProofNode, cache: dict[int, tuple]) -> tuple:
     return fp
 
 
+def _depth_exceeds(root: ProofNode, limit: int) -> bool:
+    """True if the tree has more than ``limit`` levels; iterative, and
+    shared subtrees are walked once per level."""
+    level = {id(root): root}
+    for _ in range(limit):
+        level = {id(c): c for node in level.values() for c in node.children}
+        if not level:
+            return False
+    return True
+
+
 def verify(root: ProofNode, cfg: FieldConfig | None = None) -> VerifyResult:
     """Independently re-check a certificate.
 
     Recomputes every side condition and re-derives every child system from
     claim + params, evaluates all recorded relations, and re-runs every
     oracle leaf under its recorded (prime, seed, trials).  Never calls the
-    certificate generator.  Oracle re-runs honor ``cfg.max_columns`` and may
-    raise :class:`~fatpoints.errors.BudgetError`.
+    certificate generator.  A tree deeper than ``MAX_DEPTH`` levels is
+    rejected before any node is checked.  Oracle re-runs honor
+    ``cfg.max_columns`` and may raise :class:`~fatpoints.errors.BudgetError`.
     """
     cfg = cfg or FieldConfig()
+    if _depth_exceeds(root, MAX_DEPTH):
+        return VerifyResult(False, f"certificate deeper than {MAX_DEPTH} levels", ())
     state = _VerifyState({}, set())
     try:
         _verify_node(root, (), cfg, state)

@@ -21,7 +21,7 @@ from dataclasses import replace
 from .certificates import certificate_from_json, certificate_to_json, explain, verify
 from .combinatorics import expected_dim, n_bounds, virtual_dim
 from .errors import BudgetError, FatpointsError, ParseError
-from .oracle import DEFAULT_PRIME, FieldConfig, dimension
+from .oracle import DEFAULT_PRIME, MAX_TRIALS, FieldConfig, dimension
 from .prover import ProveError, Prover
 from .systems import LinearSystem, classify
 
@@ -35,7 +35,7 @@ SWEEP_CSV_HEADER = "r,d,n,virtual,expected,oracle_dim,special,rule,ms"
 
 def _add_field_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field characteristic")
-    p.add_argument("--trials", type=int, default=3, help="independent random placements")
+    p.add_argument("--trials", type=int, default=3, help=f"independent random placements (at most {MAX_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="RNG seed; pins all randomness")
     p.add_argument("--max-cols", type=int, default=5000, help="monomial budget")
 

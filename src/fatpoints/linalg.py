@@ -107,7 +107,7 @@ class RowReducer:
         got = 0
         while self._pending and got < want:
             blk = self._pending.pop(0)
-            if blk.shape[0] > want:  # an oversized array goes in block-sized pieces
+            if got + blk.shape[0] > want:  # split an array that overflows the block
                 self._pending.insert(0, blk[want - got :])
                 blk = blk[: want - got]
             take.append(blk)

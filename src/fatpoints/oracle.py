@@ -28,6 +28,9 @@ from .linalg import MAX_PRIME, RowReducer, matmul_mod, rank_mod_p_naive
 from .systems import LinearSystem
 
 DEFAULT_PRIME = 2**31 - 1
+#: most trials one run may ask for; bounds the verifier's re-runs of untrusted stamps
+MAX_TRIALS = 64
+_CHUNK_ROWS = 64  # rows per rows_for_point call in a trial: its transients are ~4x its output
 
 
 def _is_prime(n: int) -> bool:
@@ -68,8 +71,8 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if not (2 < self.prime <= MAX_PRIME) or not _is_prime(self.prime):
             raise ValueError(f"prime must be a prime <= 2^31 - 1, got {self.prime}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if self.max_columns < 1:
             raise ValueError("max_columns must be positive")
         if self.subspace_mode not in ("auto", "axis", "sampled"):
@@ -127,60 +130,66 @@ def monomial_exponents(r: int, d: int) -> np.ndarray:
     return out
 
 
-def _falling(e: np.ndarray, a: int, p: int) -> np.ndarray:
-    out = np.ones_like(e)
-    for j in range(a):
-        out = out * ((e - j) % p) % p
-    return out
+@lru_cache(maxsize=128)
+def _derivative_plan(r: int, d: int, m: int, p: int) -> tuple[np.ndarray, ...]:
+    """Tables shared by every point of a derivative row block.
+
+    Returns (alphas, falling, shift, others, exps_t): the multi-indices of
+    order < m over the r non-chart variables (total order, then
+    lexicographic), falling[a, e] = e(e-1)...(e-a+1) mod p, shift[a, e] =
+    max(e - a, 0), others[c] = the variables other than chart c, and the
+    exponent matrix transposed to one row per variable.
+    """
+    alphas = [()]
+    for _ in range(r):
+        alphas = [t + (a,) for t in alphas for a in range(m - sum(t))]
+    alphas = np.array(alphas, dtype=np.intp)
+    alphas = alphas[np.argsort(alphas.sum(axis=1), kind="stable")]
+    falling = np.ones((m, d + 1), dtype=np.int64)
+    for a in range(1, m):
+        falling[a] = falling[a - 1] * ((np.arange(d + 1) - (a - 1)) % p) % p
+    shift = np.maximum(np.arange(d + 1)[None, :] - np.arange(m)[:, None], 0)
+    others = np.array([[i for i in range(r + 1) if i != c] for c in range(r + 1)], dtype=np.intp)
+    exps_t = np.ascontiguousarray(monomial_exponents(r, d).T)
+    plan = (alphas, falling, shift, others, exps_t)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
 def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Derivative rows of order <= m-1 at a projective point over F_p.
+    """Derivative rows of order <= m-1 at projective points over F_p.
 
-    The affine chart is taken at the point's largest coordinate, so the
-    block is deterministic in the point.  Exactly C(r+m-1, r) rows.
+    ``point`` is one point of shape (r+1,) or k points of shape (k, r+1);
+    the result stacks C(r+m-1, r) rows per point, in point order.  Each
+    point's affine chart is taken at its (first) largest coordinate, so the
+    block is deterministic in the point; the row of multi-index alpha is
+    prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the other
+    variables, at the point scaled to 1 in the chart coordinate.
     """
-    point = np.asarray(point, dtype=np.int64) % p
-    if point.shape != (r + 1,) or not point.any():
-        raise ValueError("point must be a nonzero vector of length r+1")
-    chart = int(np.argmax(point))
-    point = point * pow(int(point[chart]), -1, p) % p
-    exps = monomial_exponents(r, d)
-    ncols = exps.shape[0]
-    others = [i for i in range(r + 1) if i != chart]
-    # per-variable power tables p_i^e for e = 0..d
-    powtab = {}
-    for i in others:
-        t = np.ones(d + 1, dtype=np.int64)
-        for e in range(1, d + 1):
-            t[e] = t[e - 1] * int(point[i]) % p
-        powtab[i] = t
-    rows = np.empty((binom(r + m - 1, r), ncols), dtype=np.int64)
-    k = 0
-    for total in range(m):
-        for alpha in _compositions(total, len(others)):
-            row = np.ones(ncols, dtype=np.int64)
-            for i, a in zip(others, alpha):
-                ei = exps[:, i]
-                if a == 0:
-                    row = row * powtab[i][ei] % p
-                else:
-                    ok = ei >= a
-                    row = row * np.where(ok, _falling(ei, a, p) * powtab[i][np.maximum(ei - a, 0)] % p, 0) % p
-            rows[k] = row
-            k += 1
-    return rows
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of ``total`` into ``parts`` parts, fixed order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    pts = np.atleast_2d(np.asarray(point, dtype=np.int64) % p)
+    if pts.ndim != 2 or pts.shape[1] != r + 1 or not pts.any(axis=1).all():
+        raise ValueError("points must be nonzero vectors of length r+1")
+    alphas, falling, shift, others, exps_t = _derivative_plan(r, d, m, p)
+    k = pts.shape[0]
+    at = np.arange(k)
+    chart = pts.argmax(axis=1)
+    inv = np.array([pow(int(x), -1, p) for x in pts[at, chart]], dtype=np.int64)
+    pts = pts * inv[:, None] % p
+    powers = np.ones((k, r + 1, d + 1), dtype=np.int64)
+    for e in range(1, d + 1):
+        np.multiply(powers[:, :, e - 1], pts, out=powers[:, :, e])
+        powers[:, :, e] %= p
+    out = np.ones((k, alphas.shape[0], exps_t.shape[1]), dtype=np.int64)
+    table_start = (at[:, None, None] * m + np.arange(m)[:, None]) * (d + 1)
+    for j in range(r):
+        var = others[chart, j]
+        # factor[k, a, e] = falling(e, a) x^(e - a): derivative of order a of x^e
+        factor = falling * powers[at, var][:, shift] % p
+        per_col = np.take(factor, table_start + exps_t[var][:, None, :])
+        out *= per_col[:, alphas[:, j]]
+        out %= p
+    return out.reshape(-1, exps_t.shape[1])
 
 
 def subspace_filter_rows(r: int, d: int, codim: int, m: int) -> np.ndarray:
@@ -214,8 +223,7 @@ def rows_for_subspace(
     basis = np.asarray(basis, dtype=np.int64) % p
     s = basis.shape[0] - 1
     n_samples = binom(s + d, s)
-    pts = _sample_on_span(basis, n_samples, p, rng)
-    return np.vstack([rows_for_point(r, d, pt, m, p) for pt in pts])
+    return rows_for_point(r, d, _sample_on_span(basis, n_samples, p, rng), m, p)
 
 
 def _sample_nonzero(rng: np.random.Generator, shape: tuple[int, int], p: int) -> np.ndarray:
@@ -287,12 +295,17 @@ def _row_blocks(
             yield rows_for_subspace(r, d, bases[sub.subspace_id], sub.multiplicity, p, rng)
     for cond in sys.points_on_subspaces:
         pts = _sample_on_span(bases[cond.subspace_id], cond.count, p, rng)
-        for pt in pts:
-            yield rows_for_point(r, d, pt, cond.multiplicity, p)
+        yield from _point_chunks(r, d, pts, cond.multiplicity, p)
     for cond in sys.fat_points:
         pts = _sample_nonzero(rng, (cond.count, r + 1), p)
-        for pt in pts:
-            yield rows_for_point(r, d, pt, cond.multiplicity, p)
+        yield from _point_chunks(r, d, pts, cond.multiplicity, p)
+
+
+def _point_chunks(r: int, d: int, pts: np.ndarray, m: int, p: int) -> Iterator[np.ndarray]:
+    """Derivative rows of ``pts``, at most ``_CHUNK_ROWS`` rows (or one point) per call."""
+    step = max(1, _CHUNK_ROWS // binom(r + m - 1, r))
+    for i in range(0, len(pts), step):
+        yield rows_for_point(r, d, pts[i : i + step], m, p)
 
 
 def condition_matrix(

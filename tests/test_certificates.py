@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import time
 
 import pytest
 
@@ -17,7 +18,13 @@ from fatpoints import (
     prove,
     verify,
 )
-from fatpoints.certificates import OracleStamp, RuleViolation, claim_implies, derive_application
+from fatpoints.certificates import (
+    OracleStamp,
+    RuleViolation,
+    VerifyResult,
+    claim_implies,
+    derive_application,
+)
 from fatpoints.errors import FatpointsError
 
 
@@ -270,3 +277,28 @@ def test_deep_certificate_rejected_when_read():
         node = dict(leaf, children=[node])
     with pytest.raises(FatpointsError, match="deeper than"):
         certificate_from_json(json.dumps({"version": 1, **node}))
+
+
+def test_oracle_stamp_with_unbounded_trials_rejected():
+    # a stamp may not ask the verifier for more than MAX_TRIALS re-runs
+    node = ProofNode(
+        claim=Claim(LinearSystem.parse("L(r=3,d=5; 2^14)"), "non_special"),
+        rule="ORACLE",
+        oracle=OracleStamp(prime=2**31 - 1, seed=0, trials=10**7),
+    )
+    t0 = time.perf_counter()
+    res = verify(node)
+    assert time.perf_counter() - t0 < 1.0
+    assert not res.accepted and "trials must be in" in res.reason
+
+
+def test_deep_in_memory_tree_rejected():
+    leaf = ProofNode(
+        claim=Claim(LinearSystem.parse("L(r=2,d=2)"), "non_special"),
+        rule="CLOSED_FORM",
+        params={"family": "complete"},
+    )
+    node = leaf
+    for _ in range(2000):
+        node = ProofNode(claim=leaf.claim, rule="CLOSED_FORM", children=(node,))
+    assert verify(node) == VerifyResult(False, "certificate deeper than 64 levels", ())

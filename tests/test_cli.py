@@ -47,6 +47,11 @@ def test_dim_cross_prime(capsys):
     assert code == EXIT_OK and out.count("dim:      0") == 2
 
 
+def test_dim_trials_bounded(capsys):
+    code, _, err = run(capsys, "dim", "--trials", "65", "L(r=3,d=4; 2^9)")
+    assert code == EXIT_USAGE and "trials must be in [1, 64]" in err
+
+
 def test_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys, "prove", "3")[0] == EXIT_USAGE

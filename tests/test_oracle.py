@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatpoints import (
     BudgetError,
@@ -13,6 +16,7 @@ from fatpoints import (
     rank_mod_p,
 )
 from fatpoints.oracle import (
+    MAX_TRIALS,
     monomial_exponents,
     rows_for_point,
     rows_for_subspace,
@@ -36,8 +40,74 @@ def test_rows_for_point_counts():
     assert rows_for_point(2, 2, rnd_point(2), 2, P).shape == (3, 6)
     assert rows_for_point(3, 5, rnd_point(3), 1, P).shape == (1, binom(8, 3))
     assert rows_for_point(3, 6, rnd_point(3), 3, P).shape == (10, binom(9, 3))
+    pts = np.stack([rnd_point(3, seed) for seed in range(4)])
+    assert rows_for_point(3, 6, pts, 3, P).shape == (4 * 10, binom(9, 3))
     with pytest.raises(ValueError):
         rows_for_point(2, 2, np.zeros(3, dtype=np.int64), 2, P)
+    pts[2] = 0
+    with pytest.raises(ValueError):
+        rows_for_point(3, 6, pts, 3, P)
+
+
+def _falling(e, a):
+    out = 1
+    for j in range(a):
+        out *= e - j
+    return out
+
+
+def _rows_reference(r, d, point, m, p):
+    """Derivative rows at one point with Python ints: the row of alpha is
+    prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the non-chart
+    variables, at the point scaled to 1 in its first largest coordinate."""
+    x = [int(c) % p for c in point]
+    chart = x.index(max(x))
+    inv = pow(x[chart], -1, p)
+    x = [c * inv % p for c in x]
+    others = [i for i in range(r + 1) if i != chart]
+    alphas = sorted(
+        (a for a in itertools.product(range(m), repeat=r) if sum(a) < m), key=sum
+    )
+    rows = []
+    for alpha in alphas:
+        row = []
+        for e in monomial_exponents(r, d).tolist():
+            v = 1
+            for i, a in zip(others, alpha):
+                v *= _falling(e[i], a) * (x[i] ** (e[i] - a) if e[i] >= a else 0)
+            row.append(v % p)
+        rows.append(row)
+    return rows
+
+
+def _next_prime(n):
+    n += 1
+    while not all(n % q for q in range(2, int(n**0.5) + 1)):
+        n += 1
+    return n
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_batched_rows_match_python_reference(data):
+    r = data.draw(st.integers(1, 5), label="r")
+    d = data.draw(st.integers(0, 8), label="d")
+    m = data.draw(st.integers(1, 4), label="m")
+    p = data.draw(st.sampled_from([_next_prime(2 * max(d, 1) * m), 97, P]), label="p")
+    k = data.draw(st.integers(1, 6), label="k")
+    # small coordinates give zeros and ties for the largest one
+    coord = st.integers(0, 3) | st.integers(0, p - 1)
+    pts = data.draw(
+        st.lists(st.lists(coord, min_size=r + 1, max_size=r + 1), min_size=k, max_size=k)
+        .filter(lambda ps: all(any(c % p for c in pt) for pt in ps)),
+        label="points",
+    )
+    pts = np.array(pts, dtype=np.int64)
+    batched = rows_for_point(r, d, pts, m, p)
+    stacked = np.vstack([rows_for_point(r, d, pt, m, p) for pt in pts])
+    assert batched.dtype == np.int64 and np.array_equal(batched, stacked)
+    want = [row for pt in pts for row in _rows_reference(r, d, pt, m, p)]
+    assert batched.tolist() == want
 
 
 def test_evaluation_row_is_monomial_evaluation():
@@ -169,6 +239,13 @@ def test_budget_error():
 def test_rejects_composite_prime():
     with pytest.raises(ValueError):
         FieldConfig(prime=2**31 - 3)
+
+
+def test_trials_bounded():
+    assert FieldConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+    for trials in (0, MAX_TRIALS + 1, 10**7):
+        with pytest.raises(ValueError, match="trials"):
+            FieldConfig(trials=trials)
 
 
 def test_axis_mode_rejects_two_subspaces():
