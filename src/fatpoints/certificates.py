@@ -639,10 +639,12 @@ def verify(root: ProofNode, cfg: FieldConfig | None = None) -> VerifyResult:
 
     Recomputes every side condition and re-derives every child system from
     claim + params, evaluates all recorded relations, and re-runs every
-    oracle leaf under its recorded (prime, seed, trials).  Never calls the
-    certificate generator.  A tree deeper than ``MAX_DEPTH`` levels is
-    rejected before any node is checked.  Oracle re-runs honor
-    ``cfg.max_columns`` and may raise :class:`~fatpoints.errors.BudgetError`.
+    oracle leaf under its recorded (prime, seed, trials), stopping at the
+    first trial whose rank reaches min(conditions, columns), as the
+    generator does.  Never calls the generator.  A tree deeper than
+    ``MAX_DEPTH`` levels is rejected before any node is checked.  Oracle
+    re-runs honor ``cfg.max_columns`` and may raise
+    :class:`~fatpoints.errors.BudgetError`.
     """
     cfg = cfg or FieldConfig()
     if _depth_exceeds(root, MAX_DEPTH):
@@ -682,7 +684,7 @@ def _check_recorded_sides(recorded: tuple[SideCondition, ...], app: RuleApplicat
 def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
     if node.oracle is None:
         raise RuleViolation("oracle leaf without a stamp")
-    report = dimension(node.claim.system, node.oracle.run_config(cfg))
+    report = dimension(node.claim.system, node.oracle.run_config(cfg), stop_at_ceiling=True)
     if report.dim != node.claim.known_dim():
         raise RuleViolation(
             f"oracle re-run found dim {report.dim}, claim needs {node.claim.known_dim()}"

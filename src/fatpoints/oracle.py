@@ -345,18 +345,34 @@ def _trial_rank(sys: LinearSystem, cfg: FieldConfig, trial: int) -> int:
     return red.rank
 
 
-def dimension(sys: LinearSystem, cfg: FieldConfig | None = None) -> DimensionReport:
+def dimension(
+    sys: LinearSystem, cfg: FieldConfig | None = None, *, stop_at_ceiling: bool = False
+) -> DimensionReport:
     """Projective dimension of the system at general base points.
 
     Runs ``cfg.trials`` independent random placements and reports the
     minimum dimension (equivalently C(r+d,r) - 1 - max rank); each trial is
     an upper bound for the general-position dimension, so the minimum is the
     tightest sound bound.
+
+    With ``stop_at_ceiling`` it stops at the first trial whose rank reaches
+    min(conditions, columns): no rank exceeds that ceiling, so later trials
+    cannot change ``dim``, and a trial at the ceiling proves the expected
+    dimension by semicontinuity.  ``per_trial_rank`` then holds only the
+    trials run; when no trial reaches the ceiling, every trial runs.
+    Certificate leaves (prover and verifier) stop early; ``fatpoints dim``
+    and ``sweep`` run every trial.
     """
     cfg = cfg or FieldConfig()
     _check_budget(sys, cfg)
-    ranks = tuple(_trial_rank(sys, cfg, t) for t in range(cfg.trials))
-    dim = sys.monomial_count() - 1 - max(ranks)
+    ncols = sys.monomial_count()
+    ceiling = min(sys.conditions_count(), ncols)
+    ranks: list[int] = []
+    for t in range(cfg.trials):
+        ranks.append(_trial_rank(sys, cfg, t))
+        if stop_at_ceiling and ranks[-1] >= ceiling:
+            break
+    dim = ncols - 1 - max(ranks)
     v = sys.virtual_dim()
     e = expected_dim(v)
     return DimensionReport(
@@ -364,7 +380,7 @@ def dimension(sys: LinearSystem, cfg: FieldConfig | None = None) -> DimensionRep
         prime=cfg.prime,
         seed=cfg.seed,
         trials=cfg.trials,
-        per_trial_rank=ranks,
+        per_trial_rank=tuple(ranks),
         dim=dim,
         virtual=v,
         expected=e,
@@ -375,16 +391,14 @@ def dimension(sys: LinearSystem, cfg: FieldConfig | None = None) -> DimensionRep
 def is_empty(sys: LinearSystem, cfg: FieldConfig | None = None) -> bool:
     """True iff the reported dimension is -1.
 
-    Exits as soon as one trial's elimination reaches full column rank: any
-    trial with h^0 = 0 already forces the general system empty.
+    Never empty with fewer conditions than columns; otherwise runs
+    ``dimension(..., stop_at_ceiling=True)``, which stops at the first trial
+    of full column rank: any trial with h^0 = 0 already forces the general
+    system empty.
     """
     cfg = cfg or FieldConfig()
     _check_budget(sys, cfg)
-    ncols = sys.monomial_count()
-    if sys.conditions_count() < ncols:
-        return False  # virtual dimension >= 0: never empty
-    for t in range(cfg.trials):
-        if _trial_rank(sys, cfg, t) == ncols:
-            return True
-    return False
-
+    return (
+        sys.conditions_count() >= sys.monomial_count()
+        and dimension(sys, cfg, stop_at_ceiling=True).dim == -1
+    )

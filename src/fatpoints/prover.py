@@ -87,7 +87,8 @@ class Prover:
         stamp = OracleStamp(
             prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
         )
-        report = dimension(sys, stamp.run_config(self.cfg))  # raises BudgetError when too wide
+        # raises BudgetError when too wide
+        report = dimension(sys, stamp.run_config(self.cfg), stop_at_ceiling=True)
         claim = Claim(sys, assertion)
         if report.dim != claim.known_dim():
             raise ProveError(

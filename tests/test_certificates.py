@@ -4,6 +4,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fatpoints.certificates as certs_mod
 from fatpoints import (
@@ -25,7 +26,7 @@ from fatpoints.certificates import (
     claim_implies,
     derive_application,
 )
-from fatpoints.errors import FatpointsError
+from fatpoints.errors import BudgetError, FatpointsError
 
 
 def test_claim_dim_semantics():
@@ -302,3 +303,117 @@ def test_deep_in_memory_tree_rejected():
     for _ in range(2000):
         node = ProofNode(claim=leaf.claim, rule="CLOSED_FORM", children=(node,))
     assert verify(node) == VerifyResult(False, "certificate deeper than 64 levels", ())
+
+
+def _oracle_dicts(data, acc):
+    if "oracle" in data:
+        acc.append(data)
+    for child in data["children"]:
+        _oracle_dicts(child, acc)
+    return acc
+
+
+def _twin_leaf_certificate():
+    # prove(3, 5, 14) holds one ORACLE leaf on L(r=3,d=3; 2^5) under two
+    # assertions ("empty" and "non_special"), both with the same stamp
+    data = json.loads(certificate_to_json(prove(3, 5, 14)))
+    leaves = _oracle_dicts(data, [])
+    assert len(leaves) == 2 and leaves[0]["oracle"] == leaves[1]["oracle"]
+    assert {leaf["claim"]["assert"] for leaf in leaves} == {"empty", "non_special"}
+    return data, leaves
+
+
+def test_verify_stops_each_leaf_at_its_first_ceiling_trial(trial_calls):
+    data, _ = _twin_leaf_certificate()
+    cert = certificate_from_json(json.dumps(data))
+    trial_calls.clear()
+    assert verify(cert).accepted
+    # one trial per leaf, not the stamped three
+    assert [(s, t) for s, _, _, t in trial_calls] == [("L(r=3,d=3; 2^5)", 0)] * 2
+
+
+@pytest.mark.parametrize("prime", [2**31 - 3, 7])  # composite; too small for d = 3
+def test_refused_prime_rejected_before_any_trial(trial_calls, prime):
+    data, leaves = _twin_leaf_certificate()
+    leaves[0]["oracle"]["prime"] = prime
+    cert = certificate_from_json(json.dumps(data))
+    trial_calls.clear()
+    res = verify(cert)
+    assert not res.accepted and "prime" in res.reason
+    assert trial_calls == []
+
+
+# ---------------------------------------------------------------------------
+# mutation suite: one field of a valid certificate replaced at random
+# ---------------------------------------------------------------------------
+
+MUTATION_KEYS = [(3, 5, 14), (4, 4, 14), (5, 3, 9), (8, 3, 18)]
+
+
+def _mutable_fields(data, path=()):
+    """(path, value) of the claim value and assertion, the rule name, every
+    param, every side-condition value and every stamp field."""
+    yield path + ("claim", "value"), data["claim"]["value"]
+    yield path + ("claim", "assert"), data["claim"]["assert"]
+    yield path + ("rule",), data["rule"]
+    for name, value in data["params"].items():
+        yield path + ("params", name), value
+    for i, sc in enumerate(data["side_conditions"]):
+        yield path + ("side_conditions", i, "value"), sc["value"]
+    for name, value in data.get("oracle", {}).items():
+        yield path + ("oracle", name), value
+    for i, child in enumerate(data["children"]):
+        yield from _mutable_fields(child, path + ("children", i))
+
+
+def _strings(data, acc):
+    for value in (data["claim"]["system"], data["claim"]["assert"], data["rule"],
+                  *data["params"].values()):
+        if isinstance(value, str):
+            acc.add(value)
+    for child in data["children"]:
+        _strings(child, acc)
+    return acc
+
+
+@pytest.fixture(scope="module")
+def mutation_sources():
+    return [(key, json.loads(certificate_to_json(prove(*key)))) for key in MUTATION_KEYS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_certificate_accepted_only_with_the_original_claim(mutation_sources, data):
+    _, source = data.draw(st.sampled_from(mutation_sources), label="key")
+    fields = list(_mutable_fields(source))
+    path, old = data.draw(st.sampled_from(fields), label="field")
+    if isinstance(old, str):
+        pool = sorted(_strings(source, set()) | set(certs_mod.ASSERTIONS) | EMITTED_RULES)
+        new = data.draw(st.sampled_from(pool) | st.text(max_size=12), label="new")
+    else:  # an int, or the null value of an "empty" / "non_special" claim
+        base = old or 0
+        new = data.draw(
+            st.integers(-3, 3).map(lambda delta: base + delta) | st.integers(-2**63, 2**63),
+            label="new",
+        )
+    mutated = json.loads(json.dumps(source))
+    target = mutated
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = new
+    original = certificate_from_json(json.dumps(source))
+    try:
+        cert = certificate_from_json(json.dumps(mutated))
+    except (FatpointsError, ValueError, KeyError, TypeError):
+        return  # refused when read: `fatpoints verify` reports a malformed certificate
+    try:
+        res = verify(cert)
+    except BudgetError:
+        return
+    assert isinstance(res, VerifyResult)
+    if res.accepted:
+        # a claim is sound only if it pins the dimension the original pins
+        assert cert.claim.system == original.claim.system
+        assert cert.claim.known_dim() == original.claim.known_dim()
+    else:
+        assert res.reason

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,3 +260,108 @@ def test_rows_for_subspace_shape():
     basis = np.eye(5, 8, dtype=np.int64)
     rows = rows_for_subspace(7, 2, basis, 2, P, rng)
     assert rows.shape == (subspace_sample_count(7, 2, 3) * 8, binom(9, 2))
+
+
+def _nodes(n):
+    return f", 2^{n}" if n else ""
+
+
+@st.composite
+def _leaf_cases(draw):
+    """(system, config) pairs a certificate leaf may stamp: points, one or two
+    subspaces, special systems, 1..4 trials, primes just above 2*d*m."""
+    kind = draw(st.sampled_from(["points", "subspace", "two_subspaces", "special"]))
+    if kind == "points":
+        r, d = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4)]))
+        ncols = binom(r + d, r)
+        triple = draw(st.sampled_from(["", "3, "]))
+        text = f"L(r={r},d={d}; {triple}2^{draw(st.integers(1, ncols // (r + 1) + 1))})"
+    elif kind == "subspace":
+        r, d = draw(st.sampled_from([(4, 2), (5, 2), (5, 3), (6, 2)]))
+        codim = draw(st.integers(3, r - 1))
+        mult = draw(st.integers(1, 2))
+        on = draw(st.integers(0, 2))
+        inner = f"L1:codim{codim}:mult{mult}" + (f", 2^{on} on L1" if on else "")
+        text = f"L(r={r},d={d}; {{{inner}}}{_nodes(draw(st.integers(0, 4)))})"
+    elif kind == "two_subspaces":
+        r = draw(st.integers(5, 7))
+        text = f"L(r={r},d=2; {{L1:codim3}}, {{L2:codim3}}{_nodes(draw(st.integers(0, 3)))})"
+    else:
+        text = draw(st.sampled_from(
+            ["L(r=2,d=4; 2^5)", "L(r=4,d=4; 2^14)", "L(r=3,d=4; 2^9)", "L(r=4,d=3; 2^7)"]
+        ))
+    sys = parse_system(text)
+    floor = 2 * sys.d * max(c.multiplicity for c in sys.conditions)
+    prime = draw(st.sampled_from([_next_prime(floor), _next_prime(_next_prime(floor)), 97, P]))
+    modes = ["sampled"] if len(sys.subspaces) > 1 else ["axis", "sampled"]
+    return sys, FieldConfig(
+        prime=prime,
+        seed=draw(st.integers(0, 2**32)),
+        trials=draw(st.integers(1, 4)),
+        subspace_mode=draw(st.sampled_from(modes)),
+    )
+
+
+def _early(sys, cfg):
+    return dimension(sys, cfg, stop_at_ceiling=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_leaf_cases())
+def test_early_stop_matches_every_trial(case):
+    sys, cfg = case
+    full = dimension(sys, cfg)
+    early = _early(sys, cfg)
+    # the same report, with the ranks of the trials run: a prefix of all of them
+    assert full.per_trial_rank[: len(early.per_trial_rank)] == early.per_trial_rank
+    assert replace(early, per_trial_rank=full.per_trial_rank) == full
+    assert is_empty(sys, cfg) == (full.dim == -1)
+
+
+def test_early_stop_at_first_ceiling_trial(trial_calls):
+    cfg = FieldConfig(trials=3)
+    for text in ["L(r=3,d=5; 2^14)", "L(r=3,d=5; 2^15)", "L(r=3,d=5; 2^10)"]:  # non-special
+        sys = parse_system(text)
+        assert _early(sys, cfg).dim == sys.expected_dim()
+        assert len(trial_calls) == 1
+        trial_calls.clear()
+    for text, trials in [("L(r=2,d=4; 2^5)", 3), ("L(r=4,d=4; 2^14)", 4)]:  # special
+        sys = parse_system(text)
+        assert _early(sys, FieldConfig(trials=trials)).dim == sys.expected_dim() + 1
+        assert len(trial_calls) == trials
+        trial_calls.clear()
+    assert is_empty(parse_system("L(r=3,d=5; 2^14)"), cfg)
+    assert not is_empty(parse_system("L(r=3,d=5; 2^13)"), cfg)  # fewer conditions than columns
+    assert len(trial_calls) == 1
+    trial_calls.clear()
+    dimension(parse_system("L(r=3,d=5; 2^14)"), cfg)
+    assert len(trial_calls) == 3  # without stop_at_ceiling every trial runs
+
+
+def test_early_stop_runs_on_past_a_missed_trial(trial_calls):
+    # mod 13 the first placement sometimes misses the rank ceiling
+    sys = parse_system("L(r=3,d=3; 2^5)")
+    for seed in range(40):
+        cfg = FieldConfig(prime=13, seed=seed, trials=3)
+        ranks = dimension(sys, cfg).per_trial_rank
+        if ranks[0] < 20 == ranks[1]:
+            break
+    else:
+        pytest.fail("no seed where only the second trial reaches the ceiling")
+    trial_calls.clear()
+    assert _early(sys, cfg).dim == -1
+    assert [t for *_, t in trial_calls] == [0, 1]
+
+
+def test_early_stop_takes_the_best_trial_below_the_ceiling():
+    # mod 17 the special quartic's placements sometimes lose rank; no trial
+    # reaches the ceiling, so the best of all trials counts
+    sys = parse_system("L(r=2,d=4; 2^5)")
+    for seed in range(40):
+        cfg = FieldConfig(prime=17, seed=seed, trials=3)
+        rep = dimension(sys, cfg)
+        if rep.per_trial_rank[-1] < max(rep.per_trial_rank):
+            break
+    else:
+        pytest.fail("no seed where the last trial loses rank")
+    assert _early(sys, cfg) == rep
