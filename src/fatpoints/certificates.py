@@ -604,25 +604,6 @@ class _Reject(Exception):
         self.path = path
 
 
-def _fingerprint(node: ProofNode, cache: dict[int, tuple]) -> tuple:
-    """Structural identity of a subtree; identical subtrees verify once."""
-    got = cache.get(id(node))
-    if got is not None:
-        return got
-    fp = (
-        str(node.claim.system),
-        node.claim.assertion,
-        node.claim.value,
-        node.rule,
-        tuple(sorted(node.params.items())),
-        node.side_conditions,
-        node.oracle,
-        tuple(_fingerprint(c, cache) for c in node.children),
-    )
-    cache[id(node)] = fp
-    return fp
-
-
 def _depth_exceeds(root: ProofNode, limit: int) -> bool:
     """True if the tree has more than ``limit`` levels; iterative, and
     shared subtrees are walked once per level."""
@@ -641,26 +622,21 @@ def verify(root: ProofNode, cfg: FieldConfig | None = None) -> VerifyResult:
     claim + params, evaluates all recorded relations, and re-runs every
     oracle leaf under its recorded (prime, seed, trials), stopping at the
     first trial whose rank reaches min(conditions, columns), as the
-    generator does.  Never calls the generator.  A tree deeper than
-    ``MAX_DEPTH`` levels is rejected before any node is checked.  Oracle
-    re-runs honor ``cfg.max_columns`` and may raise
-    :class:`~fatpoints.errors.BudgetError`.
+    generator does.  Never calls the generator.  Each node object is
+    checked once: a subtree shared by several parents, as the generator's
+    memo and :func:`certificate_from_json` build them, is checked where it
+    first occurs.  A tree deeper than ``MAX_DEPTH`` levels is rejected
+    before any node is checked.  Oracle re-runs honor ``cfg.max_columns``
+    and may raise :class:`~fatpoints.errors.BudgetError`.
     """
     cfg = cfg or FieldConfig()
     if _depth_exceeds(root, MAX_DEPTH):
         return VerifyResult(False, f"certificate deeper than {MAX_DEPTH} levels", ())
-    state = _VerifyState({}, set())
     try:
-        _verify_node(root, (), cfg, state)
+        _verify_node(root, (), cfg, set())
     except _Reject as rej:
         return VerifyResult(False, rej.reason, rej.path)
     return VerifyResult(True)
-
-
-@dataclass
-class _VerifyState:
-    fp_cache: dict[int, tuple]
-    accepted: set[tuple]
 
 
 def _check_recorded_sides(recorded: tuple[SideCondition, ...], app: RuleApplication) -> None:
@@ -692,10 +668,9 @@ def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
 
 
 def _verify_node(
-    node: ProofNode, path: tuple[int, ...], cfg: FieldConfig, state: _VerifyState
+    node: ProofNode, path: tuple[int, ...], cfg: FieldConfig, accepted: set[int]
 ) -> None:
-    fp = _fingerprint(node, state.fp_cache)
-    if fp in state.accepted:
+    if id(node) in accepted:
         return
     try:
         # re-run first, so a claim the oracle refutes is rejected as refuted
@@ -709,8 +684,8 @@ def _verify_node(
         where = f"node {'/'.join(map(str, path)) or 'root'} [{node.rule}] {node.claim.describe()}"
         raise _Reject(f"{where}: {exc}", path) from exc
     for i, child in enumerate(node.children):
-        _verify_node(child, path + (i,), cfg, state)
-    state.accepted.add(fp)
+        _verify_node(child, path + (i,), cfg, accepted)
+    accepted.add(id(node))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +693,13 @@ def _verify_node(
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(node: ProofNode) -> dict:
-    out: dict = {
+def _node_to_dict(node: ProofNode, built: dict[int, dict]) -> dict:
+    """The node as a JSON object; a shared subtree's object is built once
+    and written out in full wherever it occurs."""
+    out = built.get(id(node))
+    if out is not None:
+        return out
+    out = {
         "claim": {
             "system": str(node.claim.system),
             "assert": node.claim.assertion,
@@ -731,7 +711,7 @@ def _node_to_dict(node: ProofNode) -> dict:
             {"name": sc.name, "value": sc.value, "relation": sc.relation}
             for sc in node.side_conditions
         ],
-        "children": [_node_to_dict(c) for c in node.children],
+        "children": [_node_to_dict(c, built) for c in node.children],
     }
     if node.oracle is not None:
         out["oracle"] = {
@@ -739,14 +719,24 @@ def _node_to_dict(node: ProofNode) -> dict:
             "seed": node.oracle.seed,
             "trials": node.oracle.trials,
         }
+    built[id(node)] = out
     return out
 
 
-def _node_from_dict(data: dict, depth: int = 1) -> ProofNode:
+def _node_from_dict(
+    data: dict, depth: int, systems: dict[str, LinearSystem], nodes: dict[tuple, ProofNode]
+) -> ProofNode:
+    """Read one node.  Equal subtrees come back as one shared node, and each
+    distinct system text is parsed once: ``systems`` and ``nodes`` hold what
+    this read has built so far."""
     if depth > MAX_DEPTH:
         raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
+    text = str(data["claim"]["system"])
+    system = systems.get(text)
+    if system is None:
+        system = systems[text] = LinearSystem.parse(text)
     claim = Claim(
-        system=LinearSystem.parse(str(data["claim"]["system"])),
+        system=system,
         assertion=data["claim"]["assert"],
         value=None if data["claim"].get("value") is None else int(data["claim"]["value"]),
     )
@@ -760,22 +750,26 @@ def _node_from_dict(data: dict, depth: int = 1) -> ProofNode:
     params = dict(data.get("params", {}))
     if any(isinstance(v, (list, dict)) for v in params.values()):
         raise FatpointsError("rule parameters are scalars")
-    return ProofNode(
-        claim=claim,
-        rule=str(data["rule"]),
-        params=params,
-        side_conditions=tuple(
-            SideCondition(str(sc["name"]), int(sc["value"]), str(sc["relation"]))
-            for sc in data.get("side_conditions", [])
-        ),
-        children=tuple(_node_from_dict(c, depth + 1) for c in data.get("children", [])),
-        oracle=oracle,
+    rule = str(data["rule"])
+    sides = tuple(
+        SideCondition(str(sc["name"]), int(sc["value"]), str(sc["relation"]))
+        for sc in data.get("side_conditions", [])
     )
+    children = tuple(
+        _node_from_dict(c, depth + 1, systems, nodes) for c in data.get("children", [])
+    )
+    # the JSON type keeps 1, 1.0 and true apart: each reads and writes back differently
+    typed_params = tuple(sorted((k, type(v), v) for k, v in params.items()))
+    key = (claim, rule, typed_params, sides, oracle, tuple(map(id, children)))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = ProofNode(claim, rule, params, sides, children, oracle)
+    return node
 
 
 def certificate_to_json(root: ProofNode) -> str:
     """Stable, byte-reproducible encoding (sorted keys, fixed separators)."""
-    payload = {"version": CERTIFICATE_VERSION, **_node_to_dict(root)}
+    payload = {"version": CERTIFICATE_VERSION, **_node_to_dict(root, {})}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -789,7 +783,7 @@ def certificate_from_json(text: str) -> ProofNode:
     version = data.get("version")
     if version != CERTIFICATE_VERSION:
         raise FatpointsError(f"unsupported certificate version {version!r}")
-    return _node_from_dict(data)
+    return _node_from_dict(data, 1, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,21 @@ class Prover:
         return self._make(claim, node.rule, node.params, node.children, node.oracle)
 
     def _oracle_leaf(self, sys: LinearSystem, assertion: str) -> ProofNode:
-        key = (str(sys), f"oracle:{assertion}")
-        if key in self._memo:
-            return self._memo[key]
-        stamp = OracleStamp(
-            prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
-        )
-        # raises BudgetError when too wide
-        report = dimension(sys, stamp.run_config(self.cfg), stop_at_ceiling=True)
-        claim = Claim(sys, assertion)
-        if report.dim != claim.known_dim():
-            raise ProveError(
-                f"oracle found dim {report.dim} for {sys}, cannot certify "
-                f"{claim.describe()!r}"
+        def build() -> ProofNode:
+            stamp = OracleStamp(
+                prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
             )
-        node = self._make(claim, "ORACLE", {}, (), stamp)
-        self._memo[key] = node
-        return node
+            # raises BudgetError when too wide
+            report = dimension(sys, stamp.run_config(self.cfg), stop_at_ceiling=True)
+            claim = Claim(sys, assertion)
+            if report.dim != claim.known_dim():
+                raise ProveError(
+                    f"oracle found dim {report.dim} for {sys}, cannot certify "
+                    f"{claim.describe()!r}"
+                )
+            return self._make(claim, "ORACLE", {}, (), stamp)
+
+        return self._memoized((str(sys), f"oracle:{assertion}"), build)
 
     def _closed_form(
         self, sys: LinearSystem, family: str, assertion: str, value: int | None = None

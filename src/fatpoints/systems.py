@@ -199,11 +199,6 @@ class LinearSystem:
     def expected_dim(self) -> int:
         return expected_dim(self.virtual_dim())
 
-    # -- rewriting ----------------------------------------------------------
-
-    def with_conditions(self, *extra: BaseCondition) -> "LinearSystem":
-        return LinearSystem(self.r, self.d, self.conditions + tuple(extra))
-
     def __str__(self) -> str:
         return _format(self)
 

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,6 +342,94 @@ def test_refused_prime_rejected_before_any_trial(trial_calls, prime):
     res = verify(cert)
     assert not res.accepted and "prime" in res.reason
     assert trial_calls == []
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: the reader shares equal subtrees, verify checks each
+# node object once
+# ---------------------------------------------------------------------------
+
+# prove(7, 3, 15) holds the ORACLE leaf "L(r=3,d=3; 2^5) is empty" three times
+P7_KEY = (7, 3, 15)
+P7_LEAF = "L(r=3,d=3; 2^5)"
+
+
+def _preorder(node, acc):
+    """Every node of a tree, or of its JSON object, once per path."""
+    acc.append(node)
+    for child in node["children"] if isinstance(node, dict) else node.children:
+        _preorder(child, acc)
+    return acc
+
+
+def _unshared(node):
+    """A copy of the tree in which no node object has two parents."""
+    return replace(node, children=tuple(_unshared(c) for c in node.children))
+
+
+def test_reader_shares_equal_subtrees():
+    leaf = {"claim": {"system": "L(r=2,d=2)", "assert": "non_special", "value": None},
+            "rule": "CLOSED_FORM", "params": {"family": "complete"},
+            "side_conditions": [], "children": []}
+    root = certificate_from_json(json.dumps({"version": 1, **leaf, "children": [leaf, leaf]}))
+    a, b = root.children
+    assert a is b
+    # every pair of equal subtrees of a prover file reads back as one object
+    data = json.loads(certificate_to_json(prove(*P7_KEY)))
+    texts = {}
+
+    def walk(d, node):
+        texts.setdefault(json.dumps(d, sort_keys=True), set()).add(id(node))
+        for cd, cn in zip(d["children"], node.children):
+            walk(cd, cn)
+
+    walk(data, certificate_from_json(json.dumps(data)))
+    assert all(len(ids) == 1 for ids in texts.values())
+    assert len(texts) < len(_preorder(data, []))  # the file does repeat subtrees
+
+
+def test_repeated_oracle_leaf_rerun_once_per_verify(trial_calls):
+    text = certificate_to_json(prove(*P7_KEY))
+    leaves = [d for d in _oracle_dicts(json.loads(text), []) if d["claim"]["system"] == P7_LEAF]
+    assert len(leaves) == 3 and all(leaf == leaves[0] for leaf in leaves)
+    cert = certificate_from_json(text)
+    trial_calls.clear()
+    assert verify(cert).accepted
+    assert [s for s, _, _, _ in trial_calls].count(P7_LEAF) == 1
+    assert verify(cert).accepted
+    assert [s for s, _, _, _ in trial_calls].count(P7_LEAF) == 2
+
+
+def test_param_json_types_keep_subtrees_apart():
+    data = json.loads(certificate_to_json(prove(4, 3, 6)))
+    del data["version"]
+    castelnuovo = next(d for d in _preorder(data, []) if d["rule"] == "CASTELNUOVO")
+    assert castelnuovo["params"]["top"] is False
+    as_int = dict(castelnuovo, params=dict(castelnuovo["params"], top=0))
+    payload = {"version": 1, **castelnuovo, "children": [castelnuovo, as_int]}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    root = certificate_from_json(text)
+    a, b = root.children
+    assert a is not b
+    assert all(x is y for x, y in zip(a.children, b.children))
+    assert certificate_to_json(root) == text
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_unshared_tree_gets_the_same_verdict(tamper):
+    shared = prove(*P7_KEY)
+    if tamper:  # the last copy of the repeated leaf only
+        data = json.loads(certificate_to_json(shared))
+        copies = [d for d in _oracle_dicts(data, []) if d["claim"]["system"] == P7_LEAF]
+        copies[-1]["oracle"]["prime"] = 7
+        shared = certificate_from_json(json.dumps(data))
+    unshared = _unshared(shared)
+    size = len(_preorder(shared, []))
+    assert len({id(n) for n in _preorder(shared, [])}) < size
+    assert len({id(n) for n in _preorder(unshared, [])}) == size
+    res = verify(shared)
+    assert res.accepted != tamper
+    assert verify(unshared) == res
 
 
 # ---------------------------------------------------------------------------
