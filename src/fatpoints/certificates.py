@@ -246,8 +246,7 @@ def _closed_form_dim(family: str, s: LinearSystem) -> tuple[int, tuple[SideCondi
         _require(not s.conditions, "complete family has no conditions")
         return binom(s.r + s.d, s.r) - 1, (_sc("condition_count", 0, "== 0"),)
     _require(s.is_points_only(), f"{s}: closed forms cover point conditions")
-    mults = s.mults()
-    maxm = max(mults) if mults else 0
+    maxm = max((c.multiplicity for c in s.fat_points), default=0)
     if family == "simple_points":
         _require(maxm <= 1, "simple_points family needs multiplicities <= 1")
         return max(s.virtual_dim(), -1), (_sc("max_multiplicity", maxm, "<= 1"),)

@@ -23,7 +23,7 @@ from .combinatorics import expected_dim, n_bounds, virtual_dim
 from .errors import BudgetError, FatpointsError, ParseError
 from .oracle import DEFAULT_PRIME, MAX_TRIALS, FieldConfig, dimension
 from .prover import ProveError, Prover
-from .systems import LinearSystem, classify
+from .systems import SPORADIC_EXCEPTIONS, LinearSystem, classify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -146,9 +146,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
             keys.add((r, d, hi))
             if d == 2:
                 keys.update((r, 2, n) for n in range(2, r + 1))
-            for (er, ed, en) in ((2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)):
-                if (er, ed) == (r, d):
-                    keys.add((er, ed, en))
+            keys.update(key for key in SPORADIC_EXCEPTIONS if key[:2] == (r, d))
     return sorted(keys)
 
 

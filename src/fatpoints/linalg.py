@@ -21,10 +21,6 @@ MAX_PRIME = 2**31 - 1
 _BASE_ROWS = 16  # blocks this small are eliminated row by row
 
 
-def _as_field(a: np.ndarray, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p, exact, for int64 operands reduced mod p < 2^31.
 
@@ -51,9 +47,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class RowReducer:
     """Incremental RREF basis over F_p; feed row blocks, read off the rank.
 
-    Incoming rows are buffered and eliminated in blocks of ``block`` rows,
-    so feeding many small row groups stays cheap.  Reading :attr:`rank`
-    flushes the buffer.
+    Incoming rows are copied into one ``(block, ncols)`` buffer, which is
+    eliminated each time it fills, so feeding many small row groups stays
+    cheap.  Reading :attr:`rank` flushes the buffer.
     """
 
     def __init__(self, ncols: int, p: int, block: int = 256):
@@ -66,8 +62,8 @@ class RowReducer:
         self.block = block
         self._basis = np.zeros((0, ncols), dtype=np.int64)
         self._pivots = np.zeros(0, dtype=np.intp)
-        self._pending: list[np.ndarray] = []
-        self._pending_rows = 0
+        self._buf = np.empty((block, ncols), dtype=np.int64)
+        self._fill = 0
 
     @property
     def rank(self) -> int:
@@ -87,36 +83,25 @@ class RowReducer:
     def queue_rows(self, rows: np.ndarray) -> None:
         """Queue rows without forcing a flush (cheap for tiny groups);
         elimination happens in blocks of ``self.block`` rows."""
-        rows = _as_field(rows, self.p)
+        rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.ncols:
             raise ValueError(f"expected (k, {self.ncols}) rows, got {rows.shape}")
-        if not self.saturated() and rows.shape[0]:
-            self._pending.append(rows)
-            self._pending_rows += rows.shape[0]
-            while self._pending_rows >= self.block and not self.saturated():
-                self._drain(self.block)
+        start = 0
+        while start < rows.shape[0] and not self.saturated():
+            take = min(self.block - self._fill, rows.shape[0] - start)
+            end = self._fill + take
+            np.remainder(rows[start : start + take], self.p, out=self._buf[self._fill : end])
+            self._fill, start = end, start + take
+            if self._fill == self.block:
+                self.flush()
 
     def flush(self) -> None:
-        while self._pending_rows and not self.saturated():
-            self._drain(self.block)
-        self._pending.clear()
-        self._pending_rows = 0
-
-    def _drain(self, want: int) -> None:
-        take: list[np.ndarray] = []
-        got = 0
-        while self._pending and got < want:
-            blk = self._pending.pop(0)
-            if got + blk.shape[0] > want:  # split an array that overflows the block
-                self._pending.insert(0, blk[want - got :])
-                blk = blk[: want - got]
-            take.append(blk)
-            got += blk.shape[0]
-        self._pending_rows -= got
-        if take:
-            self._absorb(np.vstack(take) if len(take) > 1 else take[0])
+        if self._fill and not self.saturated():
+            self._absorb(self._buf[: self._fill])
+        self._fill = 0
 
     def _absorb(self, blk: np.ndarray) -> None:
+        # _extend copies what it keeps of blk, so the buffer can be refilled
         self._pivots, self._basis = _extend(self._pivots, self._basis, blk, self.p)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -60,13 +59,12 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class FieldConfig:
     """Knobs of the randomized oracle; every probabilistic choice is pinned
-    by (prime, seed, trials)."""
+    by (prime, seed, trials), and ``max_columns`` is only a budget."""
 
     prime: int = DEFAULT_PRIME
     trials: int = 3
     seed: int = 0
     max_columns: int = 5000
-    subspace_mode: str = "auto"  # auto | axis | sampled
 
     def __post_init__(self) -> None:
         if not (2 < self.prime <= MAX_PRIME) or not _is_prime(self.prime):
@@ -75,8 +73,6 @@ class FieldConfig:
             raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if self.max_columns < 1:
             raise ValueError("max_columns must be positive")
-        if self.subspace_mode not in ("auto", "axis", "sampled"):
-            raise ValueError(f"bad subspace_mode {self.subspace_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,6 @@ class DimensionReport:
             "expected": self.expected,
             "special": self.special,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +214,7 @@ def rows_for_subspace(
     """General-position path: derivative rows of order <= m-1 at
     C(s+d, s) points sampled uniformly on the subspace spanned by ``basis``."""
     basis = np.asarray(basis, dtype=np.int64) % p
-    s = basis.shape[0] - 1
-    n_samples = binom(s + d, s)
+    n_samples = subspace_sample_count(r, d, r + 1 - basis.shape[0])
     return rows_for_point(r, d, _sample_on_span(basis, n_samples, p, rng), m, p)
 
 
@@ -269,22 +261,18 @@ def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSe
     return np.random.SeedSequence([cfg.seed & (2**64 - 1), int.from_bytes(h, "little")])
 
 
-def _use_axis(sys: LinearSystem, cfg: FieldConfig) -> bool:
-    if cfg.subspace_mode == "axis":
-        if len(sys.subspaces) > 1:
-            raise ValueError("axis-aligned path supports a single subspace")
-        return True
-    if cfg.subspace_mode == "sampled":
-        return False
-    return len(sys.subspaces) == 1
+def _row_blocks(sys: LinearSystem, cfg: FieldConfig, trial: int) -> Iterator[np.ndarray]:
+    """Row blocks of one trial's placement in canonical condition order, lazily.
 
-
-def _row_blocks(
-    sys: LinearSystem, cfg: FieldConfig, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Row blocks in canonical condition order, lazily."""
+    A lone subspace sits on coordinate axes (any one subspace is general);
+    several are sampled.  A point group draws at most C(r+d, r) points: once
+    a group's next general point adds no rank, no later one does, so more
+    points cannot raise the rank.
+    """
     r, d, p = sys.r, sys.d, cfg.prime
-    axis = _use_axis(sys, cfg) if sys.subspaces else False
+    rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
+    axis = len(sys.subspaces) == 1
+    cap = sys.monomial_count()
     bases: dict[str, np.ndarray] = {}
     for sub in sys.subspaces:
         if axis:
@@ -294,10 +282,10 @@ def _row_blocks(
             bases[sub.subspace_id] = _random_subspace(r, sub.codim, p, rng)
             yield rows_for_subspace(r, d, bases[sub.subspace_id], sub.multiplicity, p, rng)
     for cond in sys.points_on_subspaces:
-        pts = _sample_on_span(bases[cond.subspace_id], cond.count, p, rng)
+        pts = _sample_on_span(bases[cond.subspace_id], min(cond.count, cap), p, rng)
         yield from _point_chunks(r, d, pts, cond.multiplicity, p)
     for cond in sys.fat_points:
-        pts = _sample_nonzero(rng, (cond.count, r + 1), p)
+        pts = _sample_nonzero(rng, (min(cond.count, cap), r + 1), p)
         yield from _point_chunks(r, d, pts, cond.multiplicity, p)
 
 
@@ -311,12 +299,12 @@ def _point_chunks(r: int, d: int, pts: np.ndarray, m: int, p: int) -> Iterator[n
 def condition_matrix(
     sys: LinearSystem, cfg: FieldConfig | None = None, trial: int = 0
 ) -> np.ndarray:
-    """Materialize the full interpolation matrix for one trial's placement,
-    entries reduced mod ``cfg.prime``."""
+    """Materialize the interpolation matrix for one trial's placement,
+    entries reduced mod ``cfg.prime``.  Each point group contributes at most
+    C(r+d, r) points, which carry the rank of any larger group."""
     cfg = cfg or FieldConfig()
     _check_budget(sys, cfg)
-    rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
-    blocks = list(_row_blocks(sys, cfg, rng))
+    blocks = list(_row_blocks(sys, cfg, trial))
     ncols = sys.monomial_count()
     return np.vstack(blocks) if blocks else np.zeros((0, ncols), dtype=np.int64)
 
@@ -335,10 +323,8 @@ def _check_budget(sys: LinearSystem, cfg: FieldConfig) -> None:
 
 
 def _trial_rank(sys: LinearSystem, cfg: FieldConfig, trial: int) -> int:
-    rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
-    ncols = sys.monomial_count()
-    red = RowReducer(ncols, cfg.prime)
-    for block in _row_blocks(sys, cfg, rng):
+    red = RowReducer(sys.monomial_count(), cfg.prime)
+    for block in _row_blocks(sys, cfg, trial):
         red.queue_rows(block)
         if red.saturated():
             break

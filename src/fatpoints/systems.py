@@ -151,15 +151,6 @@ class LinearSystem:
     def point_count(self, multiplicity: int) -> int:
         return sum(c.count for c in self.fat_points if c.multiplicity == multiplicity)
 
-    def mults(self) -> tuple[int, ...]:
-        """All point multiplicities expanded (points-only systems)."""
-        if not self.is_points_only():
-            raise ValueError("mults() only applies to points-only systems")
-        out: list[int] = []
-        for c in self.fat_points:
-            out.extend([c.multiplicity] * c.count)
-        return tuple(out)
-
     def subspace(self, subspace_id: str) -> FatSubspace:
         for c in self.subspaces:
             if c.subspace_id == subspace_id:
@@ -601,13 +592,18 @@ def transversal_intersection_dim(r_p: int, r_f: int, ambient: int) -> int:
 
 def dominates(stronger: LinearSystem, weaker: LinearSystem) -> bool:
     """True if ``stronger`` imposes the conditions of ``weaker`` and possibly
-    more: same (r, d) and the sorted multiplicity lists majorize entrywise.
-    Points-only systems.
+    more: same (r, d) and, for each multiplicity t of ``weaker``, at least as
+    many points of multiplicity >= t.  This is the entrywise test on the
+    sorted multiplicity lists, without expanding the counts.  Points-only
+    systems.
     """
     if (stronger.r, stronger.d) != (weaker.r, weaker.d):
         return False
-    big = sorted(stronger.mults(), reverse=True)
-    small = sorted(weaker.mults(), reverse=True)
-    if len(small) > len(big):
-        return False
-    return all(s <= b for s, b in zip(small, big))
+    if not (stronger.is_points_only() and weaker.is_points_only()):
+        raise ValueError("dominates() only applies to points-only systems")
+
+    def at_least(s: LinearSystem, t: int) -> int:
+        return sum(c.count for c in s.fat_points if c.multiplicity >= t)
+
+    ts = [c.multiplicity for c in weaker.fat_points]
+    return all(at_least(stronger, t) >= at_least(weaker, t) for t in ts)

@@ -344,6 +344,53 @@ def test_refused_prime_rejected_before_any_trial(trial_calls, prime):
     assert trial_calls == []
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FieldConfig(max_columns=4000),
+        FieldConfig(prime=1000003, trials=1, seed=12345, max_columns=4000),
+    ],
+)
+def test_verify_reruns_each_leaf_under_its_stamp_alone(cfg, monkeypatch):
+    # a stamp plus the verifier's column budget is the whole re-run
+    cert = prove(8, 3, 18)
+    leaves = [n for n in _preorder(cert, []) if n.rule == "ORACLE"]
+    calls = []
+    real = certs_mod.dimension
+
+    def recording(sys, run_cfg, **kwargs):
+        calls.append((sys, run_cfg))
+        return real(sys, run_cfg, **kwargs)
+
+    monkeypatch.setattr(certs_mod, "dimension", recording)
+    assert verify(cert, cfg).accepted
+    assert set(calls) == {
+        (n.claim.system, FieldConfig(prime=n.oracle.prime, trials=n.oracle.trials,
+                                     seed=n.oracle.seed, max_columns=4000))
+        for n in leaves
+    }
+    # one lone subspace (on coordinate axes) and two and three (sampled)
+    assert {len(s.subspaces) for s, _ in calls} == {1, 2, 3}
+
+
+HUGE = "L(r=2,d=3; 2^1000000000000)"
+
+
+def test_huge_point_counts_checked_without_expanding_them():
+    claim = Claim(LinearSystem.parse(HUGE), "empty")
+    params = {"family": "planar"}
+    sides = derive_application(claim, "CLOSED_FORM", params).sides
+    closed = ProofNode(claim=claim, rule="CLOSED_FORM", params=params, side_conditions=sides)
+    assert verify(closed).accepted
+    down = ProofNode(
+        claim=Claim(LinearSystem.parse("L(r=2,d=3; 2^2)"), "non_special"),
+        rule="MONOTONE_DOWN",
+        params={"parent": HUGE},
+    )
+    res = verify(down)
+    assert not res.accepted and "'v_parent' fails" in res.reason
+
+
 # ---------------------------------------------------------------------------
 # shared subtrees: the reader shares equal subtrees, verify checks each
 # node object once

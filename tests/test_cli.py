@@ -47,6 +47,11 @@ def test_dim_cross_prime(capsys):
     assert code == EXIT_OK and out.count("dim:      0") == 2
 
 
+def test_dim_huge_point_count(capsys):
+    code, out, _ = run(capsys, "dim", "L(r=2,d=2; 2^1000000000000)")
+    assert code == EXIT_OK and "dim:      -1" in out
+
+
 def test_dim_trials_bounded(capsys):
     code, _, err = run(capsys, "dim", "--trials", "65", "L(r=3,d=4; 2^9)")
     assert code == EXIT_USAGE and "trials must be in [1, 64]" in err

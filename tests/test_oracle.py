@@ -18,6 +18,7 @@ from fatpoints import (
 )
 from fatpoints.oracle import (
     MAX_TRIALS,
+    _random_subspace,
     monomial_exponents,
     rows_for_point,
     rows_for_subspace,
@@ -222,14 +223,18 @@ def test_subspace_dimensions(cfg):
 
 
 def test_axis_and_sampled_paths_agree():
+    # a lone subspace goes on coordinate axes, several are sampled: both row
+    # sets impose the subspace's full condition count
+    rng = np.random.default_rng(0)
     for r in (5, 6, 7):
         for codim in (3, 4):
             for d in (2, 3):
                 for mult in (1, 2):
                     s = parse_system(f"L(r={r},d={d}; {{L1:codim{codim}:mult{mult}}})")
-                    a = dimension(s, FieldConfig(subspace_mode="axis")).dim
-                    b = dimension(s, FieldConfig(subspace_mode="sampled")).dim
-                    assert a == b, (r, codim, d, mult)
+                    axis = rank_mod_p(subspace_filter_rows(r, d, codim, mult), P)
+                    basis = _random_subspace(r, codim, P, rng)
+                    sampled = rank_mod_p(rows_for_subspace(r, d, basis, mult, P, rng), P)
+                    assert axis == sampled == s.conditions_count(), (r, codim, d, mult)
 
 
 def test_budget_error():
@@ -249,17 +254,20 @@ def test_trials_bounded():
             FieldConfig(trials=trials)
 
 
-def test_axis_mode_rejects_two_subspaces():
-    s = parse_system("L(r=6,d=2; {L1:codim3}, {L2:codim3})")
-    with pytest.raises(ValueError):
-        dimension(s, FieldConfig(subspace_mode="axis"))
-
-
 def test_rows_for_subspace_shape():
     rng = np.random.default_rng(0)
     basis = np.eye(5, 8, dtype=np.int64)
     rows = rows_for_subspace(7, 2, basis, 2, P, rng)
     assert rows.shape == (subspace_sample_count(7, 2, 3) * 8, binom(9, 2))
+
+
+def test_point_group_draws_at_most_one_point_per_column():
+    huge = 10**12
+    sys = parse_system(f"L(r=3,d=2; {{L1:codim1, 2^{huge} on L1}}, 2^{huge})")
+    matrix = condition_matrix(sys)
+    # 6 filter rows, then 10 points of 4 rows in each point group
+    assert matrix.shape == (6 + 2 * 10 * 4, 10)
+    assert rank_mod_p(matrix, P) == 10
 
 
 def _nodes(n):
@@ -293,12 +301,10 @@ def _leaf_cases(draw):
     sys = parse_system(text)
     floor = 2 * sys.d * max(c.multiplicity for c in sys.conditions)
     prime = draw(st.sampled_from([_next_prime(floor), _next_prime(_next_prime(floor)), 97, P]))
-    modes = ["sampled"] if len(sys.subspaces) > 1 else ["axis", "sampled"]
     return sys, FieldConfig(
         prime=prime,
         seed=draw(st.integers(0, 2**32)),
         trials=draw(st.integers(1, 4)),
-        subspace_mode=draw(st.sampled_from(modes)),
     )
 
 

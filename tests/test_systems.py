@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fatpoints import (
     FatPoint,
@@ -223,3 +223,22 @@ def test_dominates():
     assert not dominates(a, b)
     assert dominates(a, a)
     assert not dominates(LinearSystem.nodes(4, 3, 11), a)  # different space
+
+
+def _dominates_by_lists(stronger, weaker):
+    """The entrywise test on the expanded, sorted multiplicity lists."""
+    big, small = (
+        sorted((c.multiplicity for c in s.fat_points for _ in range(c.count)), reverse=True)
+        for s in (stronger, weaker)
+    )
+    return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(1, 5), max_size=12),
+    st.lists(st.integers(1, 5), max_size=12),
+)
+def test_dominates_matches_sorted_lists(a, b):
+    stronger, weaker = LinearSystem.from_mults(3, 4, a), LinearSystem.from_mults(3, 4, b)
+    assert dominates(stronger, weaker) == _dominates_by_lists(stronger, weaker)
