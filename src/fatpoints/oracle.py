@@ -23,7 +23,7 @@ import numpy as np
 
 from .combinatorics import binom, expected_dim
 from .errors import BudgetError
-from .linalg import MAX_PRIME, RowReducer, matmul_mod, rank_mod_p_naive
+from .linalg import MAX_PRIME, RowReducer, _mod, matmul_mod, rank_mod_p_naive
 from .systems import LinearSystem
 
 DEFAULT_PRIME = 2**31 - 1
@@ -172,16 +172,16 @@ def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndar
     powers = np.ones((k, r + 1, d + 1), dtype=np.int64)
     for e in range(1, d + 1):
         np.multiply(powers[:, :, e - 1], pts, out=powers[:, :, e])
-        powers[:, :, e] %= p
+        _mod(powers[:, :, e], p)
     out = np.ones((k, alphas.shape[0], exps_t.shape[1]), dtype=np.int64)
     table_start = (at[:, None, None] * m + np.arange(m)[:, None]) * (d + 1)
     for j in range(r):
         var = others[chart, j]
         # factor[k, a, e] = falling(e, a) x^(e - a): derivative of order a of x^e
-        factor = falling * powers[at, var][:, shift] % p
+        factor = _mod(falling * powers[at, var][:, shift], p)
         per_col = np.take(factor, table_start + exps_t[var][:, None, :])
         out *= per_col[:, alphas[:, j]]
-        out %= p
+        _mod(out, p)
     return out.reshape(-1, exps_t.shape[1])
 
 

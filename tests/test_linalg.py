@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints.linalg import RowReducer, matmul_mod, rank_mod_p, rank_mod_p_naive
+from fatpoints.linalg import RowReducer, _mod, matmul_mod, rank_mod_p, rank_mod_p_naive
 
-PRIMES = [2, 97, 1000003, 2**31 - 1]
+# 2097143 is the largest prime below 2^21; 2147483629 is the largest prime
+# below 2^31 - 1 and not a Mersenne prime, so no 2^31 - 1 shortcut passes.
+PRIMES = [2, 97, 1000003, 2097143, 2147483629, 2**31 - 1]
 
 
 @given(st.data())
@@ -29,7 +31,7 @@ def test_multi_block_elimination_matches_naive(data):
     """Blocks of 4 to 64 rows over up to 70 columns, so a trial spans many
     blocks and the in-block recursion halves down to its base case; wide,
     tall, rank-deficient and duplicated-row inputs, tiny and large primes."""
-    p = data.draw(st.sampled_from([2, 3, 97, 2**31 - 1]))
+    p = data.draw(st.sampled_from([2, 3, 97, 2097143, 2147483629, 2**31 - 1]))
     block = data.draw(st.sampled_from([4, 16, 64]))
     m = data.draw(st.integers(1, 70))
     n = data.draw(st.integers(1, 70))
@@ -65,6 +67,57 @@ def test_matmul_mod_exact(data):
     b = rng.integers(0, p, size=(k, n), dtype=np.int64)
     exact = (a.astype(object) @ b.astype(object)) % p
     assert (matmul_mod(a, b, p) == exact.astype(np.int64)).all()
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
+def test_matmul_mod_exact_at_largest_entries(p):
+    """Every entry p - 1 with inner dimension 2048: the largest partial
+    products a prime below 2^31 can give at that width."""
+    a = np.full((3, 2048), p - 1, dtype=np.int64)
+    b = np.full((2048, 5), p - 1, dtype=np.int64)
+    b[::7, 1] = 0  # one column unlike the others
+    exact = (a.astype(object) @ b.astype(object)) % p
+    assert (matmul_mod(a, b, p) == exact.astype(np.int64)).all()
+
+
+def test_matmul_mod_exact_at_inner_dimension_bound():
+    """Inner dimension 2^19 - 1, the widest the float64 products allow."""
+    p = 2**31 - 1
+    k = 2**19 - 1
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    assert matmul_mod(a, a.T.copy(), p)[0, 0] == k * (p - 1) ** 2 % p
+
+
+def test_matmul_mod_rejects_inner_dimension_2_pow_19():
+    a = np.zeros((1, 2**19), dtype=np.int64)
+    with pytest.raises(ValueError, match="inner dimension"):
+        matmul_mod(a, a.T.copy(), 97)
+
+
+def _kernel_values(p: int) -> st.SearchStrategy[int]:
+    """Values the kernel reduces: differences in (-p, p), multiples of p,
+    base-case products up to (p - 1)^2 either sign, Horner sums up to 2^62."""
+    return st.one_of(
+        st.integers(-(p - 1), p - 1),
+        st.integers(-4, 4).map(lambda q: q * p),
+        st.integers(-((p - 1) ** 2), (p - 1) ** 2),
+        st.integers(0, 2**62),
+        st.sampled_from([0, p - 1, 1 - p, (p - 1) ** 2, -((p - 1) ** 2), 2**62]),
+    )
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mod_matches_remainder(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    values = data.draw(st.lists(_kernel_values(p), min_size=1, max_size=40))
+    x = np.array(values, dtype=np.int64)
+    want = np.remainder(x, p)
+    assert _mod(x, p) is x
+    assert (x == want).all()
+    strided = np.array(values * 2, dtype=np.int64).reshape(2, -1).T  # a non-contiguous view
+    _mod(strided, p)
+    assert (strided == want[:, None]).all()
 
 
 def test_identity_block_rank():
