@@ -5,16 +5,23 @@ columns cleared everywhere) and absorbs incoming rows in blocks (256 rows by
 default) by recursive rank-profile elimination, after FFPACK's PLUQ: reduce
 the block against the basis with one modular matrix product, take the
 block's own RREF by halving it (the top half's RREF, then the bottom half
-absorbed into that) down to 16-row blocks eliminated row by row, then clear
-the new pivot columns from the old basis with a second product.  Pivot
-columns of an RREF are unit vectors, so both products run on the still-free
-columns only.  All products are exact: operands are split into 16-bit halves
-so the three partial float64 matmuls stay below 2^53, which keeps the hot
-path in BLAS, and the partial products are combined by Horner's rule in base
-2^16 with three reductions.  Every array reduction is ``_mod``'s floor
-division, ``x -= (x // p) * p``: numpy divides int64 by a scalar fast, and on
-arrays of a few thousand entries this is up to four times faster than int64
-``%``.  Entries must live in [0, p) with p < 2^31.
+absorbed into that) down to 16-row base cases, then clear the new pivot
+columns from the old basis with a second product and append the new rows.
+Pivot columns of an RREF are unit vectors, so the basis is stored as
+[I | R], keeping only R on the still-free columns, and both products run on
+those columns only.  A b-row base case wider than 2 * 64 columns is
+eliminated row by row on [its first 64 columns | I_b] only: when that window
+holds b pivots, the block's column rank profile lies in it, and the
+transform accumulated in I_b reduces the other columns with one product;
+otherwise the same row loop runs on the full width.  All products are
+exact: operands are split into 16-bit halves so the three partial float64
+matmuls stay below 2^53, which keeps the hot path in BLAS, and the partial
+products are combined by Horner's rule in base 2^16 with three reductions.
+Every array reduction goes through ``_mod``: the floor division
+``x -= (x // p) * p``, as numpy divides int64 by a scalar fast and on arrays
+of a few thousand entries this is up to four times faster than int64 ``%``,
+but ``%`` itself below 256 entries, where its one call costs less.  Entries
+must live in [0, p) with p < 2^31.
 """
 
 from __future__ import annotations
@@ -23,10 +30,17 @@ import numpy as np
 
 MAX_PRIME = 2**31 - 1
 _BASE_ROWS = 16  # blocks this small are eliminated row by row
+_WINDOW = 64  # base cases wider than twice this eliminate these leading columns first
+_SMALL = 256  # _mod takes np.remainder below this many entries
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce int64 ``x`` mod p in place (floor semantics, like ``%``) and return it."""
+    """Reduce int64 ``x`` mod p in place (floor semantics, like ``%``) and return it.
+
+    Below a few hundred entries one ``np.remainder`` costs less than the
+    three ufunc calls of the floor division (1 µs against 2 µs on 16)."""
+    if x.size < _SMALL:
+        return np.remainder(x, p, out=x)
     q = x // p
     q *= p
     x -= q
@@ -71,6 +85,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class RowReducer:
     """Incremental RREF basis over F_p; feed row blocks, read off the rank.
 
+    The basis is stored compactly as ``(pivots, free, rest)``: row i is the
+    unit vector at column ``pivots[i]`` plus ``rest[i]`` on ``free``, the
+    sorted non-pivot columns.  Pivot columns of an RREF are unit vectors, so
+    they are never stored, and rows stay in the order they were found.
     Incoming rows are copied into one ``(block, ncols)`` buffer, which is
     eliminated each time it fills, so feeding many small row groups stays
     cheap.  Reading :attr:`rank` flushes the buffer.
@@ -84,8 +102,9 @@ class RowReducer:
         self.ncols = ncols
         self.p = p
         self.block = block
-        self._basis = np.zeros((0, ncols), dtype=np.int64)
         self._pivots = np.zeros(0, dtype=np.intp)
+        self._free = np.arange(ncols)
+        self._rest = np.zeros((0, ncols), dtype=np.int64)
         self._buf = np.empty((block, ncols), dtype=np.int64)
         self._fill = 0
 
@@ -128,54 +147,75 @@ class RowReducer:
 
     def _absorb(self, blk: np.ndarray) -> None:
         # _extend copies what it keeps of blk, so the buffer can be refilled
-        self._pivots, self._basis = _extend(self._pivots, self._basis, blk, self.p)
+        self._pivots, self._free, self._rest = _extend(
+            self._pivots, self._free, self._rest, blk, self.p
+        )
 
 
 def _extend(
-    pivots: np.ndarray, basis: np.ndarray, blk: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of rowspace(basis) + rowspace(blk), given ``basis`` in RREF with
-    pivot columns ``pivots``; returns (pivots, basis) sorted by pivot."""
-    n = blk.shape[1]
-    free = np.delete(np.arange(n), pivots)
+    pivots: np.ndarray, free: np.ndarray, rest: np.ndarray, blk: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact RREF ``(pivots, free, rest)`` of rowspace(basis) +
+    rowspace(blk), given the basis in that form; new rows go below the old."""
     red = blk[:, free]
     if len(pivots):
-        red -= matmul_mod(blk[:, pivots], basis[:, free], p)
+        red -= matmul_mod(blk[:, pivots], rest, p)
         _mod(red, p)
-    if red.shape[0] > _BASE_ROWS:
-        half = red.shape[0] // 2
-        top = _extend(pivots[:0], np.zeros((0, free.size), dtype=np.int64), red[:half], p)
-        new_piv, new = _extend(*top, red[half:], p)
-    else:
-        rows: list[int] = []
-        cols: list[int] = []
-        for i in range(red.shape[0]):
-            nz = np.flatnonzero(red[i])
-            if nz.size:
-                j = int(nz[0])
-                row = red[i]
-                row *= pow(int(row[j]), -1, p)
-                _mod(row, p)
-                factors = red[:, j].copy()
-                factors[i] = 0
-                red -= factors[:, None] * red[i]
-                _mod(red, p)
-                rows.append(i)
-                cols.append(j)
-        new_piv, new = np.array(cols, dtype=np.intp), red[rows]
+    new_piv, keep, new = _rref(red, p)
     if not new_piv.size:
-        return pivots, basis
+        return pivots, free, rest
     k = len(pivots)
-    rest = np.delete(free, new_piv)
-    new_piv = free[new_piv]
-    out = np.zeros((k + new.shape[0], n), dtype=np.int64)
-    out[np.arange(k), pivots] = 1
-    out[k:, free] = new
+    out = np.empty((k + new.shape[0], keep.size), dtype=np.int64)
+    out[k:] = new
     if k:
-        out[:k, rest] = _mod(basis[:, rest] - matmul_mod(basis[:, new_piv], out[k:, rest], p), p)
-    pivots = np.concatenate([pivots, new_piv])
-    order = np.argsort(pivots)
-    return pivots[order], out[order]
+        old = out[:k]
+        np.take(rest, keep, axis=1, out=old)
+        old -= matmul_mod(rest[:, new_piv], new, p)
+        _mod(old, p)
+    return np.concatenate([pivots, free[new_piv]]), free[keep], out
+
+
+def _rref(red: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact RREF of ``red``, which it overwrites: the top half's RREF, the
+    bottom half absorbed into it, down to row-by-row base cases."""
+    b, n = red.shape
+    if b > _BASE_ROWS:
+        return _extend(*_rref(red[: b // 2], p), red[b // 2 :], p)
+    if n > 2 * _WINDOW:
+        # Eliminate [first _WINDOW columns | I_b] only.  If the window holds b
+        # pivots, the transform accumulated in its identity part reduces the
+        # remaining columns with one product.
+        win = np.hstack([red[:, :_WINDOW], np.eye(b, dtype=np.int64)])
+        _, cols = _row_loop(win, _WINDOW, p)
+        if len(cols) == b:
+            keep = np.delete(np.arange(n), cols)
+            rest = matmul_mod(win[:, _WINDOW:], red[:, _WINDOW:], p)
+            rest = np.hstack([win[:, keep[: _WINDOW - b]], rest])
+            return np.array(cols, dtype=np.intp), keep, rest
+    rows, cols = _row_loop(red, n, p)
+    keep = np.delete(np.arange(n), cols)
+    return np.array(cols, dtype=np.intp), keep, red[np.ix_(rows, keep)]
+
+
+def _row_loop(a: np.ndarray, width: int, p: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on ``a`` in place, pivots sought in its first ``width``
+    columns; returns the rows that got a pivot and their pivot columns."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for i in range(a.shape[0]):
+        nz = np.flatnonzero(a[i, :width])
+        if nz.size:
+            j = int(nz[0])
+            row = a[i]
+            row *= pow(int(row[j]), -1, p)
+            _mod(row, p)
+            factors = a[:, j].copy()
+            factors[i] = 0
+            a -= factors[:, None] * row
+            _mod(a, p)
+            rows.append(i)
+            cols.append(j)
+    return rows, cols
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:

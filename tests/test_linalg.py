@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints.linalg import RowReducer, _mod, matmul_mod, rank_mod_p, rank_mod_p_naive
+from fatpoints import linalg
+from fatpoints.linalg import (
+    _SMALL,
+    _WINDOW,
+    RowReducer,
+    _mod,
+    matmul_mod,
+    rank_mod_p,
+    rank_mod_p_naive,
+)
 
 # 2097143 is the largest prime below 2^21; 2147483629 is the largest prime
 # below 2^31 - 1 and not a Mersenne prime, so no 2^31 - 1 shortcut passes.
@@ -23,6 +32,20 @@ def test_rank_matches_naive(data):
     if data.draw(st.booleans()):
         a = np.vstack([a, a])
     assert rank_mod_p(a, p) == rank_mod_p_naive(a, p)
+
+
+def _check_basis(red: RowReducer, a: np.ndarray, want: int, p: int) -> None:
+    """Rebuild the k x n RREF that the reducer's compact (pivots, free, rest)
+    stands for: ``want`` rows, identity on the pivot columns, spanning ``a``."""
+    pivots, free = red._pivots, red._free
+    assert (np.sort(np.concatenate([pivots, free])) == np.arange(red.ncols)).all()
+    assert (np.diff(free) > 0).all()
+    basis = np.zeros((len(pivots), red.ncols), dtype=np.int64)
+    basis[np.arange(len(pivots)), pivots] = 1
+    basis[:, free] = red._rest
+    assert basis.shape[0] == want
+    assert (basis[:, pivots] == np.eye(want, dtype=np.int64)).all()
+    assert rank_mod_p_naive(np.vstack([basis, a]), p) == want
 
 
 @given(st.data())
@@ -46,8 +69,7 @@ def test_multi_block_elimination_matches_naive(data):
     want = rank_mod_p_naive(a, p)
     red = RowReducer(n, p, block=block)
     assert red.add_rows(a) == want
-    assert (red._basis[:, red._pivots] == np.eye(want, dtype=np.int64)).all()
-    assert (np.diff(red._pivots) > 0).all()
+    _check_basis(red, a, want, p)
     grouped = RowReducer(n, p, block=block)
     start = 0
     while start < a.shape[0]:
@@ -55,6 +77,57 @@ def test_multi_block_elimination_matches_naive(data):
         grouped.queue_rows(a[start : start + size])
         start += size
     assert grouped.rank == rank_mod_p(a, p) == want
+
+
+def _window_rows(kind: str, m: int, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.integers(0, p, (m, n), dtype=np.int64)
+    if kind == "zero_window":  # the window holds no pivot: the fallback runs
+        a[:, :_WINDOW] = 0
+    elif kind == "unit":  # subspace_filter_rows-style unit rows, then random rows
+        units = np.sort(rng.choice(n, size=(m + 1) // 2, replace=False))
+        a[: units.size] = 0
+        a[np.arange(units.size), units] = 1
+    elif kind == "duplicated":
+        a = a[rng.integers(0, m, size=2 * m)]
+    return a
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_windowed_base_case_matches_naive(data):
+    """Widths 129 to 260, where a base case with more than 2 * _WINDOW free
+    columns eliminates its window only, or falls back to the full width."""
+    p = data.draw(st.sampled_from([2, 3, 97, 2**31 - 1]))
+    kind = data.draw(st.sampled_from(["random", "zero_window", "unit", "duplicated"]))
+    m = data.draw(st.integers(1, 48))
+    n = data.draw(st.integers(2 * _WINDOW + 1, 260))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    a = _window_rows(kind, m, n, p, rng)
+    want = rank_mod_p_naive(a, p)
+    red = RowReducer(n, p, block=data.draw(st.sampled_from([16, 48])))
+    assert red.add_rows(a) == want
+    _check_basis(red, a, want, p)
+
+
+@pytest.mark.parametrize(
+    "kind, loops",
+    [("random", [_WINDOW]), ("zero_window", [_WINDOW, 200]), ("unit", [_WINDOW, 200])],
+)
+def test_base_case_path(monkeypatch, kind, loops):
+    """One 16-row block on 200 columns: full-rank random rows finish in the
+    window; rows with fewer than 16 pivots there take the full-width loop."""
+    widths = []
+    row_loop = linalg._row_loop
+
+    def spy(a, width, p):
+        widths.append(width)
+        return row_loop(a, width, p)
+
+    monkeypatch.setattr(linalg, "_row_loop", spy)
+    p = 97
+    a = _window_rows(kind, 16, 200, p, np.random.default_rng(5))
+    assert rank_mod_p(a, p) == rank_mod_p_naive(a, p)
+    assert widths == loops
 
 
 @given(st.data())
@@ -118,6 +191,10 @@ def test_mod_matches_remainder(data):
     strided = np.array(values * 2, dtype=np.int64).reshape(2, -1).T  # a non-contiguous view
     _mod(strided, p)
     assert (strided == want[:, None]).all()
+    reps = _SMALL // len(values) + 1  # at least _SMALL entries: the floor-division path
+    wide = np.tile(np.array(values, dtype=np.int64), (2, reps)).T  # also a strided view
+    assert _mod(wide, p) is wide
+    assert (wide == np.tile(want, reps)[:, None]).all()
 
 
 def test_identity_block_rank():
