@@ -7,7 +7,6 @@ degeneration-based induction.
 """
 
 from .combinatorics import (
-    ThresholdBundle,
     b0_decompose,
     binom,
     expected_dim,
@@ -16,10 +15,7 @@ from .combinatorics import (
     k0,
     k_general,
     k_quartic,
-    lf_bounds,
     n_bounds,
-    second_b,
-    thresholds,
     virtual_dim,
 )
 from .certificates import (
@@ -62,7 +58,6 @@ from .systems import (
     parse_system,
     planar_dim,
     quadric_dim,
-    special_dim,
     transversal_intersection_dim,
 )
 
@@ -86,7 +81,6 @@ __all__ = [
     "Prover",
     "SideCondition",
     "SpecialVerdict",
-    "ThresholdBundle",
     "VerifyResult",
     "b0_decompose",
     "binom",
@@ -110,7 +104,6 @@ __all__ = [
     "k0",
     "k_general",
     "k_quartic",
-    "lf_bounds",
     "limit_dim",
     "n_bounds",
     "parse_system",
@@ -118,9 +111,6 @@ __all__ = [
     "prove",
     "quadric_dim",
     "rank_mod_p",
-    "second_b",
-    "special_dim",
-    "thresholds",
     "transversal_intersection_dim",
     "verify",
     "virtual_dim",

@@ -11,7 +11,6 @@ the two degenerations, and the cubic correction ``gamma(r)``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -90,22 +89,7 @@ def k_general(r: int, d: int) -> int:
     """
     if r < 3 or d < 4:
         raise ValueError(f"k_general: need r >= 3 and d >= 4, got ({r}, {d})")
-    return _k_raw(r, d)
-
-
-def _k_raw(r: int, d: int) -> int:
     return (binom(r + d, r) - binom(r + d - 2, r)) // (r + 1) - (r - 2)
-
-
-def lf_bounds(r: int, d: int) -> tuple[int, int, int, int]:
-    """(k(r), k_0(d), h(d), k(r,d)) for systems with a (d-1)-fold base point.
-
-    The last entry is the raw formula value; its non-speciality guarantee
-    only applies for r >= 3, d >= 4 (see :func:`k_general`).
-    """
-    if r < 2 or d < 3:
-        raise ValueError(f"lf_bounds: need r >= 2 and d >= 3, got ({r}, {d})")
-    return k_quartic(r), k0(d), h_planar(d), _k_raw(r, d)
 
 
 def b0_decompose(r: int, d: int) -> tuple[int, int]:
@@ -119,12 +103,6 @@ def b0_decompose(r: int, d: int) -> tuple[int, int]:
         raise ValueError(f"b0_decompose: need r >= 3 and d >= 3, got ({r}, {d})")
     c = binom(r + d - 1, r - 1)
     return c // r, c % r
-
-
-def second_b(r: int, d: int) -> int:
-    """Node count b = b0_floor + beta used by the second degeneration."""
-    b0, beta = b0_decompose(r, d)
-    return b0 + beta
 
 
 def gamma_r(r: int) -> int:
@@ -143,44 +121,3 @@ def gamma_r(r: int) -> int:
         return 0
     return (r + 1) // 3
 
-
-@dataclass(frozen=True)
-class ThresholdBundle:
-    """All specialization thresholds for one (r, d), computed once."""
-
-    n_minus: int
-    n_plus: int
-    k_r: int
-    k0_d: int
-    h_d: int
-    k_rd: int
-    b0_floor: int
-    beta: int
-    b_second: int
-    gamma: int
-
-    def __post_init__(self) -> None:
-        if not (self.n_minus <= self.n_plus <= self.n_minus + 1):
-            raise ValueError("n bounds must differ by at most one")
-        if not (0 <= self.beta):
-            raise ValueError("beta must be nonnegative")
-        if self.beta == 0 and self.b_second != self.b0_floor:
-            raise ValueError("beta = 0 forces b_second = b0_floor")
-
-
-def thresholds(r: int, d: int) -> ThresholdBundle:
-    """Bundle of every threshold the induction consults at (r, d); r >= 3, d >= 3."""
-    n_minus, n_plus = n_bounds(r, d)
-    b0, beta = b0_decompose(r, d)
-    return ThresholdBundle(
-        n_minus=n_minus,
-        n_plus=n_plus,
-        k_r=k_quartic(r),
-        k0_d=k0(d),
-        h_d=h_planar(d),
-        k_rd=lf_bounds(r, d)[3],
-        b0_floor=b0,
-        beta=beta,
-        b_second=b0 + beta,
-        gamma=gamma_r(r),
-    )

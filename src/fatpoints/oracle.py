@@ -29,7 +29,7 @@ from .systems import LinearSystem
 DEFAULT_PRIME = 2**31 - 1
 #: most trials one run may ask for; bounds the verifier's re-runs of untrusted stamps
 MAX_TRIALS = 64
-_CHUNK_ROWS = 64  # rows per rows_for_point call in a trial: its transients are ~4x its output
+_CHUNK_ROWS = 64  # rows per rows_for_point call in a trial: its peak memory is ~2x its output
 
 
 def _is_prime(n: int) -> bool:
@@ -125,26 +125,39 @@ def monomial_exponents(r: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _derivative_plan(r: int, d: int, m: int, p: int) -> tuple[np.ndarray, ...]:
-    """Tables shared by every point of a derivative row block.
+    """Gather tables shared by every point of a derivative row block.
 
-    Returns (alphas, falling, shift, others, exps_t): the multi-indices of
-    order < m over the r non-chart variables (total order, then
-    lexicographic), falling[a, e] = e(e-1)...(e-a+1) mod p, shift[a, e] =
-    max(e - a, 0), others[c] = the variables other than chart c, and the
-    exponent matrix transposed to one row per variable.
+    With j = min(m-1, d), row alpha (|alpha| = j, in ``monomial_exponents(r,
+    j)`` order) takes D^alpha x^e = falling(e, alpha) x^(e - alpha) on
+    monomial e, that is coef[alpha, e] * V[idx[alpha, e]] for the point's
+    degree-(d-j) monomial vector V.  Returns (exps_t, idx, coef): the
+    degree-(d-j) exponents with one row per variable; the rank of e - alpha
+    in ``monomial_exponents(r, d - j)``, summed one variable at a time (a
+    degree-n exponent f has sum_{i=1..r} C(f_i + ... + f_r + r - i, r - i + 1)
+    monomials before it); and falling(e, alpha) mod p, which is 0 where
+    e - alpha has a negative part and, as p > d, nonzero elsewhere.
     """
-    alphas = [()]
-    for _ in range(r):
-        alphas = [t + (a,) for t in alphas for a in range(m - sum(t))]
-    alphas = np.array(alphas, dtype=np.intp)
-    alphas = alphas[np.argsort(alphas.sum(axis=1), kind="stable")]
-    falling = np.ones((m, d + 1), dtype=np.int64)
-    for a in range(1, m):
-        falling[a] = falling[a - 1] * ((np.arange(d + 1) - (a - 1)) % p) % p
-    shift = np.maximum(np.arange(d + 1)[None, :] - np.arange(m)[:, None], 0)
-    others = np.array([[i for i in range(r + 1) if i != c] for c in range(r + 1)], dtype=np.intp)
-    exps_t = np.ascontiguousarray(monomial_exponents(r, d).T)
-    plan = (alphas, falling, shift, others, exps_t)
+    j = min(m - 1, d)
+    n = d - j
+    alphas = monomial_exponents(r, j)
+    exps_t = monomial_exponents(r, d).T
+    falling = np.ones((j + 1, d + 1), dtype=np.int64)
+    for a in range(1, j + 1):
+        falling[a] = falling[a - 1] * np.maximum(np.arange(d + 1) - (a - 1), 0) % p
+    shape = (alphas.shape[0], exps_t.shape[1])
+    coef = np.ones(shape, dtype=np.int64)
+    idx = np.zeros(shape, dtype=np.intp)
+    suffix = np.zeros(shape, dtype=np.int64)
+    for i in range(r, -1, -1):
+        a = alphas[:, i, None]
+        coef *= falling[a, exps_t[i]]
+        _mod(coef, p)
+        if i:
+            suffix += exps_t[i] - a
+            before = np.array([binom(t + r - i, r - i + 1) for t in range(n + 1)], dtype=np.intp)
+            idx += before[np.clip(suffix, 0, n)]
+    idx[coef == 0] = 0
+    plan = (np.ascontiguousarray(monomial_exponents(r, n).T), idx, coef)
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -154,35 +167,30 @@ def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndar
     """Derivative rows of order <= m-1 at projective points over F_p.
 
     ``point`` is one point of shape (r+1,) or k points of shape (k, r+1);
-    the result stacks C(r+m-1, r) rows per point, in point order.  Each
-    point's affine chart is taken at its (first) largest coordinate, so the
-    block is deterministic in the point; the row of multi-index alpha is
-    prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the other
-    variables, at the point scaled to 1 in the chart coordinate.
+    the result stacks, in point order, the C(r+j, r) homogeneous partials of
+    order j = min(m-1, d) at each point (see ``_derivative_plan``).  They span
+    the conditions, the partials of order <= m-1, as p > d: for |beta| = i < d
+    Euler's formula (d-i) D^beta f = sum_k x_k D_k D^beta f writes each one of
+    order i at x through those of order i+1.  When m-1 > d the order-d
+    partials are alpha! times the coefficients of f, so the point kills every
+    form and its rows are a scaled identity.
     """
     pts = np.atleast_2d(np.asarray(point, dtype=np.int64) % p)
     if pts.ndim != 2 or pts.shape[1] != r + 1 or not pts.any(axis=1).all():
         raise ValueError("points must be nonzero vectors of length r+1")
-    alphas, falling, shift, others, exps_t = _derivative_plan(r, d, m, p)
-    k = pts.shape[0]
-    at = np.arange(k)
-    chart = pts.argmax(axis=1)
-    inv = np.array([pow(int(x), -1, p) for x in pts[at, chart]], dtype=np.int64)
-    pts = pts * inv[:, None] % p
-    powers = np.ones((k, r + 1, d + 1), dtype=np.int64)
-    for e in range(1, d + 1):
+    exps_t, idx, coef = _derivative_plan(r, d, m, p)
+    k, n = pts.shape[0], d - min(m - 1, d)
+    powers = np.ones((k, r + 1, n + 1), dtype=np.int64)
+    for e in range(1, n + 1):
         np.multiply(powers[:, :, e - 1], pts, out=powers[:, :, e])
         _mod(powers[:, :, e], p)
-    out = np.ones((k, alphas.shape[0], exps_t.shape[1]), dtype=np.int64)
-    table_start = (at[:, None, None] * m + np.arange(m)[:, None]) * (d + 1)
-    for j in range(r):
-        var = others[chart, j]
-        # factor[k, a, e] = falling(e, a) x^(e - a): derivative of order a of x^e
-        factor = _mod(falling * powers[at, var][:, shift], p)
-        per_col = np.take(factor, table_start + exps_t[var][:, None, :])
-        out *= per_col[:, alphas[:, j]]
-        _mod(out, p)
-    return out.reshape(-1, exps_t.shape[1])
+    v = np.ones((k, exps_t.shape[1]), dtype=np.int64)
+    for i in range(r + 1):
+        v *= powers[:, i, exps_t[i]]
+        _mod(v, p)
+    out = v[:, idx]
+    out *= coef
+    return _mod(out, p).reshape(-1, idx.shape[1])
 
 
 def subspace_filter_rows(r: int, d: int, codim: int, m: int) -> np.ndarray:
@@ -291,7 +299,7 @@ def _row_blocks(sys: LinearSystem, cfg: FieldConfig, trial: int) -> Iterator[np.
 
 def _point_chunks(r: int, d: int, pts: np.ndarray, m: int, p: int) -> Iterator[np.ndarray]:
     """Derivative rows of ``pts``, at most ``_CHUNK_ROWS`` rows (or one point) per call."""
-    step = max(1, _CHUNK_ROWS // binom(r + m - 1, r))
+    step = max(1, _CHUNK_ROWS // binom(r + min(m - 1, d), r))
     for i in range(0, len(pts), step):
         yield rows_for_point(r, d, pts[i : i + step], m, p)
 

@@ -379,15 +379,6 @@ def classify_system(sys: LinearSystem) -> SpecialVerdict:
     return classify(sys.r, sys.d, sys.point_count(2))
 
 
-def special_dim(r: int, d: int, n: int) -> int:
-    """Closed-form actual dimension of an exceptional system."""
-    verdict = classify(r, d, n)
-    if not verdict.is_exception:
-        raise ValueError(f"({r}, {d}, {n}) is not an exceptional system")
-    assert verdict.closed_form_dim is not None
-    return verdict.closed_form_dim
-
-
 def quadric_dim(r: int, n: int, simple: int = 0) -> int:
     """Actual dimension of L_{r,2}(2^n, 1^simple), any n, s >= 0.
 

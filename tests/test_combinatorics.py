@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fatpoints import (
-    ThresholdBundle,
     b0_decompose,
     binom,
     expected_dim,
@@ -11,10 +10,7 @@ from fatpoints import (
     k0,
     k_general,
     k_quartic,
-    lf_bounds,
     n_bounds,
-    second_b,
-    thresholds,
     virtual_dim,
 )
 
@@ -49,6 +45,7 @@ def test_expected_dim():
 
 def test_n_bounds_examples():
     assert n_bounds(3, 4) == (8, 9)
+    assert n_bounds(3, 5) == (14, 14)
     assert n_bounds(4, 4) == (14, 14)
     assert n_bounds(5, 3) == (9, 10)
 
@@ -65,8 +62,7 @@ def test_lf_bounds_examples():
     assert k_quartic(2) == 2
     for d in range(4, 13):
         assert k_general(3, d) == k0(d) == (d + 1) ** 2 // 4 - 1
-    k_r, k0_d, h_d, k_rd = lf_bounds(3, 5)
-    assert (k_r, k0_d, h_d, k_rd) == (5, 8, 3, 8)
+    assert (k_quartic(3), k0(5), h_planar(5), k_general(3, 5)) == (5, 8, 3, 8)
 
 
 def test_lf_inequalities_exhaustive():
@@ -80,7 +76,8 @@ def test_lf_inequalities_exhaustive():
 
 def test_b0_decompose_examples():
     assert b0_decompose(3, 5) == (7, 0)
-    assert b0_decompose(3, 6) == (9, 1)
+    b0, beta = b0_decompose(3, 6)
+    assert (b0, beta) == (9, 1) and b0 * 3 + beta == binom(8, 2)
     assert b0_decompose(5, 5) == (25, 1)
 
 
@@ -91,13 +88,8 @@ def test_b0_roundtrip(r, d):
     assert b0 * r + beta == binom(r + d - 1, r - 1)
 
 
-def test_second_b_examples():
-    assert second_b(3, 6) == 10
-    assert second_b(3, 5) == 7
-    assert second_b(5, 5) == 26
-
-
 def test_gamma_examples():
+    assert gamma_r(3) == 0
     assert gamma_r(6) == 0
     assert gamma_r(5) == 2
     assert gamma_r(8) == 3
@@ -108,20 +100,3 @@ def test_gamma_forces_virtual_dim_minus_one():
         n = n_bounds(r, 3)[0]
         assert virtual_dim(r, 3, [2] * n + [1] * gamma_r(r)) == -1
 
-
-def test_thresholds_bundle():
-    t = thresholds(3, 5)
-    assert t == ThresholdBundle(
-        n_minus=14, n_plus=14, k_r=5, k0_d=8, h_d=3, k_rd=8,
-        b0_floor=7, beta=0, b_second=7, gamma=0,
-    )
-    t6 = thresholds(3, 6)
-    assert (t6.b0_floor, t6.beta, t6.b_second) == (9, 1, 10)
-    assert t6.b0_floor * 3 + t6.beta == binom(8, 2)
-
-
-def test_bundle_invariants_rejected():
-    with pytest.raises(ValueError):
-        ThresholdBundle(5, 7, 0, 0, 0, 0, 1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        ThresholdBundle(5, 5, 0, 0, 0, 0, 3, 0, 4, 0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,8 @@ def test_rows_for_point_counts():
     assert rows_for_point(3, 6, rnd_point(3), 3, P).shape == (10, binom(9, 3))
     pts = np.stack([rnd_point(3, seed) for seed in range(4)])
     assert rows_for_point(3, 6, pts, 3, P).shape == (4 * 10, binom(9, 3))
+    # m - 1 > d: the point kills every form, one row per monomial
+    assert rows_for_point(2, 1, rnd_point(2), 3, P).shape == (3, 3)
     with pytest.raises(ValueError):
         rows_for_point(2, 2, np.zeros(3, dtype=np.int64), 2, P)
     pts[2] = 0
@@ -59,9 +62,10 @@ def _falling(e, a):
 
 
 def _rows_reference(r, d, point, m, p):
-    """Derivative rows at one point with Python ints: the row of alpha is
-    prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the non-chart
-    variables, at the point scaled to 1 in its first largest coordinate."""
+    """Derivative rows at one point with Python ints, in the affine chart: the
+    row of alpha is prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the
+    non-chart variables, at the point scaled to 1 in its first largest
+    coordinate.  The rows of ``rows_for_point`` must span the same space."""
     x = [int(c) % p for c in point]
     chart = x.index(max(x))
     inv = pow(x[chart], -1, p)
@@ -80,6 +84,27 @@ def _rows_reference(r, d, point, m, p):
             row.append(v % p)
         rows.append(row)
     return rows
+
+
+def _homogeneous_entry(e, alpha, x, p):
+    """D^alpha x^e at the point x: prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i)."""
+    v = 1
+    for ei, ai, xi in zip(e, alpha, x):
+        if ei < ai:
+            return 0
+        v *= _falling(ei, ai) * pow(int(xi), ei - ai, p)
+    return v % p
+
+
+def _homogeneous_reference(r, d, point, m, p):
+    """The rows of ``rows_for_point`` at one point with Python ints: every
+    partial derivative of order min(m-1, d), in ``monomial_exponents`` order."""
+    x = [int(c) % p for c in point]
+    exps = monomial_exponents(r, d).tolist()
+    return [
+        [_homogeneous_entry(e, alpha, x, p) for e in exps]
+        for alpha in monomial_exponents(r, min(m - 1, d)).tolist()
+    ]
 
 
 def _next_prime(n):
@@ -108,22 +133,41 @@ def test_batched_rows_match_python_reference(data):
     batched = rows_for_point(r, d, pts, m, p)
     stacked = np.vstack([rows_for_point(r, d, pt, m, p) for pt in pts])
     assert batched.dtype == np.int64 and np.array_equal(batched, stacked)
-    want = [row for pt in pts for row in _rows_reference(r, d, pt, m, p)]
+    want = [row for pt in pts for row in _homogeneous_reference(r, d, pt, m, p)]
     assert batched.tolist() == want
+    # the same span as the chart rows, per point and per batch
+    conditions = min(binom(r + m - 1, r), binom(r + d, r))
+    chart = [np.array(_rows_reference(r, d, pt, m, p), dtype=np.int64) for pt in pts]
+    for new, old in zip(np.split(batched, k), chart):
+        assert rank_mod_p(new, p) == rank_mod_p(old, p) == conditions
+        assert rank_mod_p(np.vstack([new, old]), p) == conditions
+    chart = np.vstack(chart)
+    rank = rank_mod_p(batched, p)
+    assert rank == rank_mod_p(chart, p) == rank_mod_p(np.vstack([batched, chart]), p)
 
 
 def test_evaluation_row_is_monomial_evaluation():
-    # multiplicity 1: the single row evaluates each monomial at the point
+    # multiplicity 1: the single row is x^e at the point itself, unscaled
     pt = rnd_point(2, seed=5)
     row = rows_for_point(2, 3, pt, 1, P)[0]
-    exps = monomial_exponents(2, 3)
-    chart = int(np.argmax(pt))
-    scaled = pt * pow(int(pt[chart]), -1, P) % P
     expect = [
-        int(np.prod([pow(int(scaled[i]), int(e[i]), P) for i in range(3)])) % P
-        for e in exps
+        math.prod(pow(int(x), int(k), P) for x, k in zip(pt, e)) % P
+        for e in monomial_exponents(2, 3)
     ]
     assert row.tolist() == expect
+
+
+def test_wide_rows_match_python_reference():
+    # the widest cubic under the default budget: 4960 columns, 30 rows a point
+    r, d = 29, 3
+    pts = np.stack([rnd_point(r, seed) for seed in range(2)])
+    rows = rows_for_point(r, d, pts, 2, P).reshape(2, r + 1, -1)
+    assert rows.shape[2] == binom(r + d, r) == 4960
+    exps = monomial_exponents(r, d).tolist()
+    alphas = monomial_exponents(r, 1).tolist()
+    rng = np.random.default_rng(0)
+    for i, a, c in zip(*rng.integers(0, rows.shape, size=(400, 3)).T):
+        assert rows[i, a, c] == _homogeneous_entry(exps[c], alphas[a], pts[i].tolist(), P)
 
 
 def test_subspace_filter_rows_point_case():

@@ -19,7 +19,6 @@ from fatpoints import (
     parse_system,
     planar_dim,
     quadric_dim,
-    special_dim,
     transversal_intersection_dim,
 )
 
@@ -92,6 +91,9 @@ def test_classify_examples():
     assert v.is_exception and v.closed_form_dim == 0 and v.exception_tag == "Quartic2"
     v = classify(6, 2, 4)
     assert v.is_exception and v.closed_form_dim == binom(4, 2) - 1 == 5
+    assert classify(3, 2, 2).closed_form_dim == 2
+    assert classify(4, 3, 7).closed_form_dim == 0
+    assert classify(3, 4, 9).closed_form_dim == 0
     assert not classify(3, 5, 14).is_exception
     # quadrics with n >= r+1 nodes are empty but not special
     assert not classify(3, 2, 4).is_exception
@@ -101,14 +103,6 @@ def test_classify_system_rejects_non_double():
     with pytest.raises(ValueError):
         classify_system(parse_system("L(r=3,d=4; 3, 2^5)"))
     assert classify_system(LinearSystem.nodes(3, 4, 9)).is_exception
-
-
-def test_special_dim_examples():
-    assert special_dim(3, 2, 2) == 2
-    assert special_dim(4, 3, 7) == 0
-    assert special_dim(3, 4, 9) == 0
-    with pytest.raises(ValueError):
-        special_dim(3, 5, 14)
 
 
 def test_quadric_planar_closed_forms():
