@@ -53,7 +53,6 @@ from .systems import (
     deg1_components,
     deg2_components,
     dominates,
-    format_system,
     limit_dim,
     parse_system,
     planar_dim,
@@ -97,7 +96,6 @@ __all__ = [
     "dominates",
     "expected_dim",
     "explain",
-    "format_system",
     "gamma_r",
     "h_planar",
     "is_empty",

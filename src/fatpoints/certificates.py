@@ -247,15 +247,6 @@ def _closed_form_dim(family: str, s: LinearSystem) -> tuple[int, tuple[SideCondi
         return binom(s.r + s.d, s.r) - 1, (_sc("condition_count", 0, "== 0"),)
     _require(s.is_points_only(), f"{s}: closed forms cover point conditions")
     maxm = max((c.multiplicity for c in s.fat_points), default=0)
-    if family == "simple_points":
-        _require(maxm <= 1, "simple_points family needs multiplicities <= 1")
-        return max(s.virtual_dim(), -1), (_sc("max_multiplicity", maxm, "<= 1"),)
-    if family == "line":
-        _require(s.r == 1, "line family needs r = 1")
-        return max(s.virtual_dim(), -1), (_sc("r", s.r, "== 1"),)
-    if family == "degree_le1":
-        _require(s.d <= 1, "degree_le1 family needs d <= 1")
-        return max(s.virtual_dim(), -1), (_sc("d", s.d, "<= 1"),)
     n2, n1 = s.point_count(2), s.point_count(1)
     _require(maxm <= 2, f"{family} family needs multiplicities <= 2")
     if family == "quadric":
@@ -325,8 +316,8 @@ def _check_empty_up(claim: Claim, params: dict) -> RuleApplication:
 def _check_castelnuovo(claim: Claim, params: dict) -> RuleApplication:
     s = claim.system
     h = int(params["h"])
-    top = bool(params.get("top", False))
-    kernel, trace = castelnuovo_split(s, h, specialize_top=top)
+    _require(not params.get("top", False), "CASTELNUOVO specializes double points only")
+    kernel, trace = castelnuovo_split(s, h)
     vk, vt = kernel.virtual_dim(), trace.virtual_dim()
     sides = (
         _sc("v_kernel", vk, ">= -1"),

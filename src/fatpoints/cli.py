@@ -11,7 +11,6 @@ proof, 2 usage or parse error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -21,7 +20,7 @@ from dataclasses import replace
 from .certificates import certificate_from_json, certificate_to_json, explain, verify
 from .combinatorics import expected_dim, n_bounds, virtual_dim
 from .errors import BudgetError, FatpointsError, ParseError
-from .oracle import DEFAULT_PRIME, MAX_TRIALS, FieldConfig, dimension
+from .oracle import DEFAULT_PRIME, MAX_TRIALS, FieldConfig, derive_seed, dimension
 from .prover import ProveError, Prover
 from .systems import SPORADIC_EXCEPTIONS, LinearSystem, classify
 
@@ -132,11 +131,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _row_seed(seed: int, r: int, d: int, n: int) -> int:
-    h = hashlib.blake2b(f"{seed}|{r}|{d}|{n}".encode(), digest_size=8).digest()
-    return int.from_bytes(h, "little") % 2**63
-
-
 def _sweep_rows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
     keys: set[tuple[int, int, int]] = set()
     for r in range(args.r_min, args.r_max + 1):
@@ -164,7 +158,7 @@ def _sweep_one(args: argparse.Namespace, prover: Prover, key: tuple[int, int, in
         "rule": "-",
         "ms": 0,
     }
-    cfg = replace(_config(args), seed=_row_seed(args.seed, r, d, n))
+    cfg = replace(_config(args), seed=derive_seed(args.seed, r, d, n))
     try:
         report = dimension(LinearSystem.nodes(r, d, n), cfg)
         row["oracle_dim"] = report.dim

@@ -264,6 +264,14 @@ def _axis_subspace(r: int, codim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def derive_seed(seed: int, *parts: object) -> int:
+    """A seed below 2^63 for one sub-run, hashed from ``seed`` and the text
+    of ``parts``; certificate leaves and sweep rows each draw their own."""
+    text = "|".join(map(str, (seed, *parts)))
+    h = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(h, "little") % 2**63
+
+
 def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSequence:
     h = hashlib.blake2b(f"{sys_text}|{trial}".encode(), digest_size=8).digest()
     return np.random.SeedSequence([cfg.seed & (2**64 - 1), int.from_bytes(h, "little")])

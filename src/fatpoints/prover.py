@@ -18,8 +18,6 @@ rule to apply where.
 
 from __future__ import annotations
 
-import hashlib
-
 from .certificates import (
     MAX_DEPTH,
     Claim,
@@ -30,7 +28,7 @@ from .certificates import (
 )
 from .combinatorics import b0_decompose, gamma_r, n_bounds
 from .errors import FatpointsError
-from .oracle import FieldConfig, dimension
+from .oracle import FieldConfig, derive_seed, dimension
 from .presets import (
     ah3_system,
     k1_system,
@@ -46,11 +44,6 @@ from .systems import LinearSystem, castelnuovo_split, classify
 
 class ProveError(FatpointsError):
     """No certificate could be produced; the message names the obstruction."""
-
-
-def _leaf_seed(seed: int, sys: LinearSystem) -> int:
-    h = hashlib.blake2b(f"{seed}|{sys}".encode(), digest_size=8).digest()
-    return int.from_bytes(h, "little") % 2**63
 
 
 class Prover:
@@ -83,7 +76,7 @@ class Prover:
     def _oracle_leaf(self, sys: LinearSystem, assertion: str) -> ProofNode:
         def build() -> ProofNode:
             stamp = OracleStamp(
-                prime=self.cfg.prime, seed=_leaf_seed(self.cfg.seed, sys), trials=self.cfg.trials
+                prime=self.cfg.prime, seed=derive_seed(self.cfg.seed, sys), trials=self.cfg.trials
             )
             # raises BudgetError when too wide
             report = dimension(sys, stamp.run_config(self.cfg), stop_at_ceiling=True)
@@ -146,10 +139,6 @@ class Prover:
     def _verdict_rules(self, r: int, d: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
         if n == 0:
             return self._closed_form(sys, "complete", "non_special")
-        if r == 1:
-            return self._closed_form(sys, "line", "non_special")
-        if d <= 1:
-            return self._closed_form(sys, "degree_le1", "non_special")
         if r == 2:
             return self._closed_form(sys, "planar", "non_special")
         if d == 2:
@@ -395,12 +384,7 @@ class Prover:
             raise
 
     def _empty_rules(self, r: int, d: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
-        if r == 1:
-            return self._closed_form(sys, "line", "empty")
-        if d <= 1:
-            return self._closed_form(sys, "degree_le1", "empty")
-        if r == 2:
-            return self._closed_form(sys, "planar", "empty")
+        # every caller has r >= 3: planar goals end in a closed form in _verdict_rules
         if d == 2:
             return self._closed_form(sys, "quadric", "empty")
         if d == 3:

@@ -258,8 +258,6 @@ def _format(sys: LinearSystem) -> str:
     return head + ("; " + ", ".join(parts) + ")" if parts else ")")
 
 
-format_system = _format
-
 _HEAD_RE = re.compile(r"^L\(\s*r\s*=\s*(\d+)\s*,\s*d\s*=\s*(\d+)\s*(?:;(.*))?\)$")
 _FAT_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 _ON_RE = re.compile(r"^(\d+)(?:\^(\d+))?\s+on\s+(L\d+)$")
@@ -384,13 +382,13 @@ def quadric_dim(r: int, n: int, simple: int = 0) -> int:
 
     For n >= 1 the system consists of quadric cones whose vertex contains
     the span of the nodes, so it matches the complete quadric system of
-    P^{r-n}; general simple points then impose independent conditions until
-    the system empties.
+    P^{r-n}, and it is empty once the nodes span P^r (n > r); general
+    simple points then impose independent conditions until the system
+    empties.
     """
     if r < 1 or n < 0 or simple < 0:
         raise ValueError(f"bad arguments ({r}, {n}, {simple})")
-    base = binom(r - n + 2, 2) - 1 if n >= 1 else binom(r + 2, 2) - 1
-    return max(base - simple, -1)
+    return max(binom(max(r - n + 2, 0), 2) - 1 - simple, -1)
 
 
 def planar_dim(d: int, n: int, simple: int = 0) -> int:
@@ -418,53 +416,28 @@ def _points_map(sys: LinearSystem) -> dict[int, int]:
     return {fp.multiplicity: fp.count for fp in sys.fat_points}
 
 
-def castelnuovo_split(
-    sys: LinearSystem, h: int, specialize_top: bool = False
-) -> tuple[LinearSystem, LinearSystem]:
+def castelnuovo_split(sys: LinearSystem, h: int) -> tuple[LinearSystem, LinearSystem]:
     """Restrict to a hyperplane through h of the double points.
 
-    Splits the system into the kernel (degree drops by one; specialized
-    conditions lose one order of vanishing) and the trace (ambient dimension
-    drops by one; specialized conditions restrict at full multiplicity).
-    With ``specialize_top`` the unique point of multiplicity >= 3 is placed
-    on the hyperplane as well, as in the inductions for systems with a
-    (d-1)-fold point.
+    Splits the system into the kernel (degree drops by one; the h
+    specialized double points lose one order of vanishing) and the trace
+    (ambient dimension drops by one; the h points restrict as double
+    points).  Only double points are specialized; every other point stays
+    general, so it passes to the kernel unchanged.
     """
     if sys.r < 2 or sys.d < 1:
         raise ValueError("need r >= 2 and d >= 1 to restrict to a hyperplane")
-    counts = dict(_points_map(sys))
+    counts = _points_map(sys)
     n_double = counts.get(2, 0)
     if not (0 <= h <= n_double):
         raise ValueError(f"cannot specialize {h} of {n_double} double points")
-
-    kernel_counts: dict[int, int] = {}
-    trace_counts: dict[int, int] = {}
-
-    def put(table: dict[int, int], m: int, c: int = 1) -> None:
-        if m >= 1 and c >= 1:
-            table[m] = table.get(m, 0) + c
-
-    if specialize_top:
-        top = [m for m in counts if m >= 3]
-        if len(top) != 1 or counts[top[0]] != 1:
-            raise ValueError("specialize_top needs exactly one point of multiplicity >= 3")
-        m = top.pop()
-        del counts[m]
-        put(trace_counts, m)
-        put(kernel_counts, m - 1)
-
-    put(trace_counts, 2, h)
-    put(kernel_counts, 1, h)
     counts[2] = n_double - h
-    for m, c in counts.items():
-        put(kernel_counts, m, c)
-
+    if h:
+        counts[1] = counts.get(1, 0) + h
     kernel = LinearSystem(
-        sys.r, sys.d - 1, tuple(FatPoint(m, c) for m, c in kernel_counts.items())
+        sys.r, sys.d - 1, tuple(FatPoint(m, c) for m, c in counts.items() if c)
     )
-    trace = LinearSystem(
-        sys.r - 1, sys.d, tuple(FatPoint(m, c) for m, c in trace_counts.items())
-    )
+    trace = LinearSystem(sys.r - 1, sys.d, (FatPoint(2, h),) if h else ())
     return kernel, trace
 
 
@@ -494,8 +467,6 @@ class Deg1Parts:
 
     l_p: LinearSystem        # L_{r,d-1}(2^{n-b})
     hat_l_p: LinearSystem    # L_{r,d-2}(2^{n-b})
-    l_f: LinearSystem        # L_{r,d}(d-1, 2^b)
-    hat_l_f: LinearSystem    # L_{r,d}(d, 2^b)
     r_ambient: int           # h^0 of degree d-1 on the intersection P^{r-1}
 
 
@@ -507,8 +478,6 @@ def deg1_components(r: int, d: int, n: int, b: int) -> Deg1Parts:
     return Deg1Parts(
         l_p=LinearSystem.nodes(r, d - 1, n - b),
         hat_l_p=LinearSystem.nodes(r, d - 2, n - b),
-        l_f=LinearSystem(r, d, (FatPoint(d - 1), FatPoint(2, b)) if b else (FatPoint(d - 1),)),
-        hat_l_f=LinearSystem(r, d, (FatPoint(d), FatPoint(2, b)) if b else (FatPoint(d),)),
         r_ambient=binom(d + r - 2, r - 1),
     )
 
@@ -521,9 +490,6 @@ class Deg2Parts:
     l_p0: LinearSystem       # L_{r,d-1}(2^{n-b})
     hat_l_p0: LinearSystem   # L_{r,d-2}(2^{n-b})
     bar_l_p0: LinearSystem   # L_{r,d-1}(2^{n-b+beta})
-    l_f0: LinearSystem       # L_{r,d}(d-1, 2^b)
-    hat_l_f0: LinearSystem   # L_{r,d}(d, 2^{b-beta}, 1^beta)
-    r_f0: LinearSystem       # restricted series L_{r-1,d-1}(1^{b-beta}, 2^beta)
 
 
 def deg2_components(r: int, d: int, n: int, b: int, beta: int) -> Deg2Parts:
@@ -533,23 +499,10 @@ def deg2_components(r: int, d: int, n: int, b: int, beta: int) -> Deg2Parts:
         raise ValueError(f"need 0 <= beta <= b <= n, got beta={beta}, b={b}, n={n}")
     if beta >= r:
         raise ValueError(f"need beta < r, got beta={beta}, r={r}")
-    hat_f0: list[BaseCondition] = [FatPoint(d)]
-    if b - beta:
-        hat_f0.append(FatPoint(2, b - beta))
-    if beta:
-        hat_f0.append(FatPoint(1, beta))
-    restricted: list[BaseCondition] = []
-    if beta:
-        restricted.append(FatPoint(2, beta))
-    if b - beta:
-        restricted.append(FatPoint(1, b - beta))
     return Deg2Parts(
         l_p0=LinearSystem.nodes(r, d - 1, n - b),
         hat_l_p0=LinearSystem.nodes(r, d - 2, n - b),
         bar_l_p0=LinearSystem.nodes(r, d - 1, n - b + beta),
-        l_f0=LinearSystem(r, d, (FatPoint(d - 1), FatPoint(2, b)) if b else (FatPoint(d - 1),)),
-        hat_l_f0=LinearSystem(r, d, tuple(hat_f0)),
-        r_f0=LinearSystem(r - 1, d - 1, tuple(restricted)),
     )
 
 

@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
 from fatpoints import (
+    Claim,
     FieldConfig,
     LinearSystem,
+    ProofNode,
     ProveError,
     Prover,
+    SideCondition,
     dimension,
     n_bounds,
+    planar_dim,
     prove,
+    quadric_dim,
     verify,
 )
 
@@ -130,6 +137,50 @@ def test_prove_d2_closed_forms(prover):
     cert = prover.prove(5, 2, 7)
     assert cert.rule == "CLOSED_FORM" and cert.params["family"] == "quadric"
     assert verify(cert).accepted
+    # n >= r + 3 nodes, where C(r - n + 2, 2) has a negative top: still dim -1
+    assert quadric_dim(2, 5) == quadric_dim(3, 9, simple=2) == planar_dim(2, 5) == -1
+    for (r, n), cfg in [((2, 9), FieldConfig()), ((80, 83), FieldConfig(max_columns=3000))]:
+        cert = Prover(cfg).prove(r, 2, n)
+        assert cert.rule == "CLOSED_FORM" and cert.claim.known_dim() == -1, (r, n)
+        assert verify(cert, cfg).accepted, (r, n)
+
+
+def test_prover_emits_only_catalog_variants(prover):
+    used = set()
+    for r in range(2, 6):
+        for d in range(2, 7):
+            for n in range(n_bounds(r, d)[1] + 2):
+                for node in collect(prover.prove(r, d, n)):
+                    if node.rule in ("CLOSED_FORM", "CASTELNUOVO"):
+                        used.add((node.rule, node.params.get("family"), node.params.get("top")))
+    assert used == {
+        ("CLOSED_FORM", "complete", None),
+        ("CLOSED_FORM", "planar", None),
+        ("CLOSED_FORM", "quadric", None),
+        ("CASTELNUOVO", None, False),
+    }
+
+    complete = prover.prove(3, 5, 0)
+    assert complete.rule == "CLOSED_FORM" and complete.params == {"family": "complete"}
+    assert verify(complete).accepted
+
+    # variants the prover never emits are refused, even when otherwise sound
+    simple = LinearSystem.parse("L(r=3,d=5; 1^4)")
+    leaf = ProofNode(
+        claim=Claim(simple, "dim", simple.virtual_dim()),
+        rule="CLOSED_FORM",
+        params={"family": "simple_points"},
+        side_conditions=(
+            SideCondition("max_multiplicity", 1, "<= 1"),
+            SideCondition("closed_dim", simple.virtual_dim(), ">= -1"),
+        ),
+    )
+    res = verify(leaf)
+    assert not res.accepted and "unknown closed-form family" in res.reason
+    split = prover.prove(4, 3, 6)
+    assert split.rule == "CASTELNUOVO" and verify(split).accepted
+    res = verify(replace(split, params={**split.params, "top": True}))
+    assert not res.accepted and "double points only" in res.reason
 
 
 def test_certified_verdict_matches_oracle_sample(prover, cfg):

@@ -119,18 +119,6 @@ def test_castelnuovo_examples():
     assert str(k) == "L(r=3,d=3; 2^4, 1^4)"
     assert str(t) == "L(r=2,d=4; 2^4)"
 
-    # triple point specialized with k(r-1) nodes, r = 3: k(3) = 5, k(2) = 2
-    sys = parse_system("L(r=3,d=4; 3, 2^5)")
-    k, t = castelnuovo_split(sys, 2, specialize_top=True)
-    assert str(k) == "L(r=3,d=3; 2^4, 1^2)"
-    assert str(t) == "L(r=2,d=4; 3, 2^2)"
-
-    # (d-1)-fold point on P^3, d = 5: k0(5) = 8, h(5) = 3
-    sys = parse_system("L(r=3,d=5; 4, 2^8)")
-    k, t = castelnuovo_split(sys, 3, specialize_top=True)
-    assert str(k) == "L(r=3,d=4; 3, 2^5, 1^3)"
-    assert str(t) == "L(r=2,d=5; 4, 2^3)"
-
     with pytest.raises(ValueError):
         castelnuovo_split(LinearSystem.nodes(3, 4, 3), 4)
 
@@ -155,14 +143,11 @@ def test_cone_reduce_examples():
 def test_deg1_components_examples():
     parts = deg1_components(3, 5, 14, 7)
     assert str(parts.l_p) == "L(r=3,d=4; 2^7)"
-    assert str(parts.l_f) == "L(r=3,d=5; 4, 2^7)"
     assert str(parts.hat_l_p) == "L(r=3,d=3; 2^7)"
-    assert str(parts.hat_l_f) == "L(r=3,d=5; 5, 2^7)"
     assert parts.r_ambient == binom(6, 2) == 15
 
     trivial = deg1_components(4, 6, 10, 0)
     assert str(trivial.l_p) == "L(r=4,d=5; 2^10)"
-    assert str(trivial.l_f) == "L(r=4,d=6; 5)"
 
     with pytest.raises(ValueError):
         deg1_components(3, 5, 14, 15)
@@ -171,14 +156,12 @@ def test_deg1_components_examples():
 def test_deg2_components_examples():
     parts = deg2_components(3, 6, 21, 10, 1)
     assert str(parts.bar_l_p0) == "L(r=3,d=5; 2^12)"
-    assert str(parts.hat_l_f0) == "L(r=3,d=6; 6, 2^9, 1)"
-    assert str(cone_reduce(parts.hat_l_f0)) == "L(r=2,d=6; 2^9, 1)"
-    assert str(parts.r_f0) == "L(r=2,d=5; 2, 1^9)"
+    assert str(cone_reduce(parse_system("L(r=3,d=6; 6, 2^9, 1)"))) == "L(r=2,d=6; 2^9, 1)"
 
     # beta = 0 collapses onto the first degeneration's systems
     a = deg2_components(3, 5, 14, 7, 0)
     b = deg1_components(3, 5, 14, 7)
-    assert (a.l_p0, a.hat_l_p0, a.l_f0) == (b.l_p, b.hat_l_p, b.l_f)
+    assert (a.l_p0, a.hat_l_p0) == (b.l_p, b.hat_l_p)
     assert a.bar_l_p0 == b.l_p
 
     with pytest.raises(ValueError):
