@@ -50,8 +50,6 @@ from .systems import (
     classify,
     classify_system,
     cone_reduce,
-    deg1_components,
-    deg2_components,
     dominates,
     limit_dim,
     parse_system,
@@ -90,8 +88,6 @@ __all__ = [
     "classify_system",
     "condition_matrix",
     "cone_reduce",
-    "deg1_components",
-    "deg2_components",
     "dimension",
     "dominates",
     "expected_dim",

@@ -51,8 +51,6 @@ from .systems import (
     SPORADIC_EXCEPTIONS,
     castelnuovo_split,
     classify,
-    deg1_components,
-    deg2_components,
     dominates,
     limit_dim,
     planar_dim,
@@ -343,11 +341,12 @@ def _check_deg1(claim: Claim, params: dict) -> RuleApplication:
     _require(r >= 3 and d >= 5, "DEG1 needs r >= 3, d >= 5")
     b = int(params["b"])
     b0, beta = b0_decompose(r, d)
-    parts = deg1_components(r, d, n, b)
+    # b nodes on the exceptional component F, n - b on P
     cone_kernel = _nodes(r - 1, d, b)
-    v_p = parts.l_p.virtual_dim()
-    r_f = parts.r_ambient - 1 - b
-    dim_r = transversal_intersection_dim(v_p, r_f, parts.r_ambient)
+    l_p, hat_l_p = _nodes(r, d - 1, n - b), _nodes(r, d - 2, n - b)
+    ambient = binom(d + r - 2, r - 1)
+    v_p = l_p.virtual_dim()
+    dim_r = transversal_intersection_dim(v_p, ambient - 1 - b, ambient)
     l0 = limit_dim(dim_r, -1, -1)
     sides = (
         _sc("beta", beta, "== 0"),
@@ -356,14 +355,10 @@ def _check_deg1(claim: Claim, params: dict) -> RuleApplication:
         _sc("b_within_lf_bound", k_general(r, d) - b, ">= 0"),
         _sc("e_cone_kernel", expected_dim(cone_kernel.virtual_dim()), "== -1"),
         _sc("v_p", v_p, ">= 0"),
-        _sc("v_hat_p", parts.hat_l_p.virtual_dim(), "<= -1"),
+        _sc("v_hat_p", hat_l_p.virtual_dim(), "<= -1"),
         _sc("l0_matches_expected", l0 - s.expected_dim(), "== 0"),
     )
-    children = (
-        (cone_kernel, H1_ZERO),
-        (parts.l_p, H1_ZERO),
-        (parts.hat_l_p, EMPTY),
-    )
+    children = ((cone_kernel, H1_ZERO), (l_p, H1_ZERO), (hat_l_p, EMPTY))
     return RuleApplication(
         sides=sides, children=children, conclusion=("dim", s.expected_dim())
     )
@@ -376,10 +371,11 @@ def _check_deg2(claim: Claim, params: dict) -> RuleApplication:
     _require(r >= 3 and d >= 5, "DEG2 needs r >= 3, d >= 5")
     b, beta = int(params["b"]), int(params["beta"])
     b0f, beta0 = b0_decompose(r, d)
-    parts = deg2_components(r, d, n, b, beta)
+    # b nodes on the exceptional F (beta of them in its intersection with P), n - b on P
     cone_kernel = _nodes(r - 1, d, b - beta)
     cone_kernel_full = _nodes(r - 1, d, b - beta, simple=beta)
-    v_p0 = parts.l_p0.virtual_dim()
+    hat_l_p0, bar_l_p0 = _nodes(r, d - 2, n - b), _nodes(r, d - 1, n - b + beta)
+    v_p0 = _nodes(r, d - 1, n - b).virtual_dim()
     match_dim = max(v_p0 - r * beta - (b - beta), -1)
     sides = (
         _sc("beta_matches", beta - beta0, "== 0"),
@@ -389,15 +385,11 @@ def _check_deg2(claim: Claim, params: dict) -> RuleApplication:
         _sc("b_within_n", n - b, ">= 0"),
         _sc("b_within_lf_bound", k_general(r, d) - b, ">= 0"),
         _sc("v_cone_kernel", cone_kernel_full.virtual_dim(), "== -1"),
-        _sc("v_bar_p", parts.bar_l_p0.virtual_dim(), ">= -1"),
-        _sc("v_hat_p", parts.hat_l_p0.virtual_dim(), "<= -1"),
+        _sc("v_bar_p", bar_l_p0.virtual_dim(), ">= -1"),
+        _sc("v_hat_p", hat_l_p0.virtual_dim(), "<= -1"),
         _sc("match_dim_matches_expected", match_dim - s.expected_dim(), "== 0"),
     )
-    children = (
-        (cone_kernel, H1_ZERO),
-        (parts.bar_l_p0, H1_ZERO),
-        (parts.hat_l_p0, EMPTY),
-    )
+    children = ((cone_kernel, H1_ZERO), (bar_l_p0, H1_ZERO), (hat_l_p0, EMPTY))
     return RuleApplication(
         sides=sides, children=children, conclusion=("dim", s.expected_dim())
     )

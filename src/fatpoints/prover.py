@@ -12,19 +12,25 @@ fails with the first unsatisfiable side condition named.
 
 Side conditions and child shapes are derived, and each node is checked, by
 the same rule semantics the independent verifier uses
-(:func:`fatpoints.certificates.check_node`); the prover only chooses which
-rule to apply where.
+(:func:`fatpoints.certificates.check_node`).  For the (1, b)-degenerations
+(DEG1, DEG2 and the quartic rules) the prover only chooses the rule and its
+parameters, then proves the children that
+:func:`fatpoints.certificates.derive_application` names; past a rigid
+exception row of the classification table it reads the row from
+:data:`fatpoints.systems.SPORADIC_EXCEPTIONS`.
 """
 
 from __future__ import annotations
 
 from .certificates import (
+    EMPTY,
     MAX_DEPTH,
     Claim,
     OracleStamp,
     ProofNode,
     RuleViolation,
     check_node,
+    derive_application,
 )
 from .combinatorics import b0_decompose, gamma_r, n_bounds
 from .errors import FatpointsError
@@ -39,7 +45,7 @@ from .presets import (
     p7_matching_system,
     quadric_three_subspaces,
 )
-from .systems import LinearSystem, castelnuovo_split, classify
+from .systems import SPORADIC_EXCEPTIONS, LinearSystem, castelnuovo_split, classify
 
 
 class ProveError(FatpointsError):
@@ -200,58 +206,36 @@ class Prover:
         sys = LinearSystem.nodes(r, d, n)
         b0, beta = b0_decompose(r, d)
         if beta == 0:
-            children = (
-                self._verdict(r - 1, d, b0, depth),
-                self._verdict(r, d - 1, n - b0, depth),
-                self._empty(r, d - 2, n - b0, depth),
-            )
-            return self._make(Claim(sys, "non_special"), "DEG1", {"b": b0}, children)
-        b = b0 + beta
-        children = (
-            self._verdict(r - 1, d, b0, depth),
-            self._verdict(r, d - 1, n - b + beta, depth),
-            self._empty(r, d - 2, n - b, depth),
+            return self._degenerate(sys, "DEG1", {"b": b0}, depth)
+        return self._degenerate(sys, "DEG2", {"b": b0 + beta, "beta": beta}, depth)
+
+    def _degenerate(self, sys: LinearSystem, rule: str, params: dict, depth: int) -> ProofNode:
+        """Apply a (1, b)-degeneration: prove the children its rule checker
+        derives, emptiness goals as such and the rest as verdicts."""
+        claim = Claim(sys, "non_special")
+        try:
+            app = derive_application(claim, rule, params)
+        except (RuleViolation, ValueError) as exc:
+            raise ProveError(f"{rule} on {claim.describe()}: {exc}") from exc
+        children = tuple(
+            (self._empty if req == EMPTY else self._verdict)(s.r, s.d, s.point_count(2), depth)
+            for s, req in app.children
         )
-        return self._make(
-            Claim(sys, "non_special"), "DEG2", {"b": b, "beta": beta}, children
-        )
+        return self._make(claim, rule, params, children)
 
     # -- quartics -------------------------------------------------------------
 
     def _quartic_verdict(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
         depth = self._guard(depth)
-
-        def build() -> ProofNode:
-            if r == 3:
-                children = (
-                    self._verdict(2, 4, 4, depth),
-                    self._verdict(3, 3, 4, depth),
-                    self._empty(3, 2, 4, depth),
-                )
-                return self._make(Claim(sys, "non_special"), "QUARTIC_R3", {"b": 4}, children)
-            if r == 4:
-                children = (
-                    self._verdict(3, 4, 8, depth),
-                    self._verdict(4, 3, 5, depth),
-                    self._empty(4, 2, 5, depth),
-                )
-                return self._make(Claim(sys, "non_special"), "QUARTIC_R4", {"b": 8}, children)
-            b = n - r - 1
-            children = (
-                self._empty(r - 1, 4, b, depth),
-                self._verdict(r, 3, r + 1, depth),
-                self._empty(r, 2, r + 1, depth),
-            )
-            return self._make(Claim(sys, "non_special"), "QUARTIC_GEN", {"b": b}, children)
-
-        return self._memoized((str(sys), "verdict"), build)
+        rule = {3: "QUARTIC_R3", 4: "QUARTIC_R4"}.get(r, "QUARTIC_GEN")
+        return self._memoized(
+            (str(sys), "verdict"), lambda: self._degenerate(sys, rule, {"b": n - r - 1}, depth)
+        )
 
     # -- cubics ---------------------------------------------------------------
 
     def _cubic_verdict(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
         depth = self._guard(depth)
-        if r == 3:
-            return self._with_assertion(self._ah3(3, depth), "non_special")
         if r == 4:
             raise ProveError("P^4 cubics at the critical count are the exception row")
         gamma = gamma_r(r)
@@ -280,7 +264,7 @@ class Prover:
             if r == 3:
                 return self._oracle_leaf(sys, "empty")
             if r == 4:
-                raise ProveError("L(r=4,d=3; 2^7) is the exception row, not empty")
+                raise ProveError(f"{sys} is the exception row, not empty")
             if r in (5, 6):
                 children = (self._ah3(r - 3, depth), self._matching(r, depth))
                 return self._make(
@@ -387,10 +371,16 @@ class Prover:
         # every caller has r >= 3: planar goals end in a closed form in _verdict_rules
         if d == 2:
             return self._closed_form(sys, "quadric", "empty")
+        # past a rigid (dim 0) exception row, one more node empties the system
+        rigid = [
+            m
+            for (kr, kd, m), (_tag, dim) in SPORADIC_EXCEPTIONS.items()
+            if (kr, kd, dim) == (r, d, 0)
+        ]
+        if rigid:
+            return self._rigid_empty_up(sys, rigid[0])
         if d == 3:
             return self._cubic_empty(r, n, sys, depth)
-        if d == 4:
-            return self._quartic_empty(r, n, sys, depth)
         nlo, nhi = n_bounds(r, d)
         if n == nhi:
             return self._verdict(r, d, nhi, depth)
@@ -407,8 +397,10 @@ class Prover:
             (base,),
         )
 
-    def _rigid_empty_up(self, sys: LinearSystem, r: int, d: int, m: int) -> ProofNode:
-        base_sys = LinearSystem.nodes(r, d, m)
+    def _rigid_empty_up(self, sys: LinearSystem, m: int) -> ProofNode:
+        if sys.point_count(2) <= m:
+            raise ProveError(f"{sys}: not empty ({m} nodes give a rigid exception row)")
+        base_sys = LinearSystem.nodes(sys.r, sys.d, m)
         base = self._make(Claim(base_sys, "dim", 0), "TABLE", {})
         return self._make(
             Claim(sys, "empty"),
@@ -417,32 +409,7 @@ class Prover:
             (base,),
         )
 
-    def _quartic_empty(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
-        if r == 3:
-            if n <= 9:
-                raise ProveError(f"{sys}: not empty (9 nodes give the rigid double quadric)")
-            return self._rigid_empty_up(sys, 3, 4, 9)
-        if r == 4:
-            if n <= 14:
-                raise ProveError(f"{sys}: not empty (14 nodes give the rigid double quadric)")
-            return self._rigid_empty_up(sys, 4, 4, 14)
-        nlo, nhi = n_bounds(r, 4)
-        if n == nhi:
-            return self._verdict(r, 4, nhi, depth)
-        if n > nhi:
-            return self._empty_up(sys, self._empty(r, 4, nhi, depth))
-        raise ProveError(f"{sys}: node count below n^+; emptiness does not hold")
-
     def _cubic_empty(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
-        if r == 3:
-            if n < 5:
-                raise ProveError(f"{sys}: not empty")
-            node = self._ah3(3, depth)
-            return node if n == 5 else self._empty_up(sys, node)
-        if r == 4:
-            if n <= 7:
-                raise ProveError(f"{sys}: not empty (7 nodes give the rigid secant cubic)")
-            return self._rigid_empty_up(sys, 4, 3, 7)
         gamma = gamma_r(r)
         nlo, nhi = n_bounds(r, 3)
         if gamma == 0:

@@ -23,7 +23,7 @@ Examples: ``L(r=3,d=5; 2^14)``, ``L(r=3,d=4; 3, 2^5)``,
 Alongside the model sit the closed-form special cases of the
 Alexander-Hirschowitz classification and the symbolic transformations used
 by the degeneration arguments (hyperplane restriction, cone reduction,
-component systems of the two degenerations, limit-dimension formulas).
+limit-dimension formulas).
 """
 
 from __future__ import annotations
@@ -458,52 +458,6 @@ def cone_reduce(sys: LinearSystem) -> LinearSystem:
     counts[sys.d] -= 1
     rest = tuple(FatPoint(m, c) for m, c in counts.items() if c >= 1)
     return LinearSystem(sys.r - 1, sys.d, rest)
-
-
-@dataclass(frozen=True)
-class Deg1Parts:
-    """Component systems of the (1, b)-degeneration: b nodes on the
-    exceptional component F, the rest on P."""
-
-    l_p: LinearSystem        # L_{r,d-1}(2^{n-b})
-    hat_l_p: LinearSystem    # L_{r,d-2}(2^{n-b})
-    r_ambient: int           # h^0 of degree d-1 on the intersection P^{r-1}
-
-
-def deg1_components(r: int, d: int, n: int, b: int) -> Deg1Parts:
-    if r < 2 or d < 2:
-        raise ValueError(f"need r >= 2 and d >= 2, got ({r}, {d})")
-    if not (0 <= b <= n):
-        raise ValueError(f"need 0 <= b <= n, got b={b}, n={n}")
-    return Deg1Parts(
-        l_p=LinearSystem.nodes(r, d - 1, n - b),
-        hat_l_p=LinearSystem.nodes(r, d - 2, n - b),
-        r_ambient=binom(d + r - 2, r - 1),
-    )
-
-
-@dataclass(frozen=True)
-class Deg2Parts:
-    """Component systems after additionally sliding beta of the b nodes on F
-    into the intersection with P."""
-
-    l_p0: LinearSystem       # L_{r,d-1}(2^{n-b})
-    hat_l_p0: LinearSystem   # L_{r,d-2}(2^{n-b})
-    bar_l_p0: LinearSystem   # L_{r,d-1}(2^{n-b+beta})
-
-
-def deg2_components(r: int, d: int, n: int, b: int, beta: int) -> Deg2Parts:
-    if r < 3 or d < 2:
-        raise ValueError(f"need r >= 3 and d >= 2, got ({r}, {d})")
-    if not (0 <= beta <= b <= n):
-        raise ValueError(f"need 0 <= beta <= b <= n, got beta={beta}, b={b}, n={n}")
-    if beta >= r:
-        raise ValueError(f"need beta < r, got beta={beta}, r={r}")
-    return Deg2Parts(
-        l_p0=LinearSystem.nodes(r, d - 1, n - b),
-        hat_l_p0=LinearSystem.nodes(r, d - 2, n - b),
-        bar_l_p0=LinearSystem.nodes(r, d - 1, n - b + beta),
-    )
 
 
 def limit_dim(dim_r: int, l_hat_p: int, l_hat_f: int) -> int:

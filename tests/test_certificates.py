@@ -14,13 +14,18 @@ from fatpoints import (
     LinearSystem,
     ProofNode,
     SideCondition,
+    binom,
     certificate_from_json,
     certificate_to_json,
     explain,
+    limit_dim,
     prove,
+    transversal_intersection_dim,
     verify,
 )
 from fatpoints.certificates import (
+    EMPTY,
+    H1_ZERO,
     OracleStamp,
     RuleViolation,
     VerifyResult,
@@ -224,6 +229,68 @@ def test_certificate_bytes_pinned():
     for cert in certs:
         _rules(cert, used)
     assert used == EMITTED_RULES
+
+
+# the cubic r = 3 emptiness, the three rigid rows, the quartic general tail,
+# the cubic-gap EMPTY_UP over an oracle leaf and K1(3)
+BRANCH_KEYS = [(3, 3, 6), (4, 3, 8), (4, 4, 15), (5, 4, 22), (8, 3, 20), (9, 3, 22)]
+BRANCH_SHA256 = "cc8f112378a9488197390bfcc1a6bffea71260e0bfe8ff30d5df3690c3e80d42"
+
+
+def test_rewritten_branch_bytes_pinned():
+    text = "".join(certificate_to_json(prove(*key)) for key in BRANCH_KEYS)
+    assert hashlib.sha256(text.encode()).hexdigest() == BRANCH_SHA256
+
+
+def _sides(app):
+    return {sc.name: sc.value for sc in app.sides}
+
+
+def test_deg_children_derived_by_checker():
+    # b nodes on the exceptional component F, n - b on P
+    claim = Claim(LinearSystem.parse("L(r=3,d=5; 2^14)"), "non_special")
+    app = derive_application(claim, "DEG1", {"b": 7})
+    assert [(str(s), req) for s, req in app.children] == [
+        ("L(r=2,d=5; 2^7)", H1_ZERO),
+        ("L(r=3,d=4; 2^7)", H1_ZERO),
+        ("L(r=3,d=3; 2^7)", EMPTY),
+    ]
+    sides = _sides(app)
+    # degree-4 forms on the intersection P^2 of the two components
+    ambient = binom(6, 2)
+    assert ambient == 15
+    dim_r = transversal_intersection_dim(sides["v_p"], ambient - 1 - 7, ambient)
+    assert limit_dim(dim_r, -1, -1) - claim.system.expected_dim() == sides["l0_matches_expected"]
+    assert sides["l0_matches_expected"] == 0 and sides["b_within_n"] == 14 - 7
+
+    app2 = derive_application(
+        Claim(LinearSystem.parse("L(r=3,d=6; 2^21)"), "non_special"), "DEG2", {"b": 10, "beta": 1}
+    )
+    assert [(str(s), req) for s, req in app2.children] == [
+        ("L(r=2,d=6; 2^9)", H1_ZERO),
+        ("L(r=3,d=5; 2^12)", H1_ZERO),
+        ("L(r=3,d=4; 2^11)", EMPTY),
+    ]
+    # beta = 0 collapses onto the first degeneration's children
+    app0 = derive_application(claim, "DEG2", {"b": 7, "beta": 0})
+    assert app0.children == app.children
+
+
+@pytest.mark.parametrize(
+    "key, rule, params, reason",
+    [
+        ((3, 5, 14), "DEG1", {"b": 15}, "bad fat point"),  # b > n
+        ((3, 6, 21), "DEG2", {"b": 22, "beta": 1}, "bad fat point"),  # b > n
+        ((3, 6, 21), "DEG2", {"b": 10, "beta": 3}, "'beta_matches' fails"),  # beta >= r
+    ],
+    ids=["deg1_b_above_n", "deg2_b_above_n", "deg2_beta_at_r"],
+)
+def test_deg_params_out_of_range_rejected(prover, key, rule, params, reason):
+    data = json.loads(certificate_to_json(prover.prove(*key)))
+    assert data["rule"] == rule
+    data["params"] = params
+    res = verify(certificate_from_json(json.dumps(data)))
+    assert not res.accepted and res.path == () and reason in res.reason
 
 
 def test_rule_catalog_holds_only_emitted_rules():

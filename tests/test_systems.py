@@ -12,8 +12,6 @@ from fatpoints import (
     classify,
     classify_system,
     cone_reduce,
-    deg1_components,
-    deg2_components,
     dominates,
     limit_dim,
     parse_system,
@@ -136,38 +134,9 @@ def test_castelnuovo_conserves_conditions(r, d, n, h):
 def test_cone_reduce_examples():
     assert str(cone_reduce(parse_system("L(r=3,d=4; 4, 2^4)"))) == "L(r=2,d=4; 2^4)"
     assert str(cone_reduce(parse_system("L(r=5,d=3; 3)"))) == "L(r=4,d=3)"
+    assert str(cone_reduce(parse_system("L(r=3,d=6; 6, 2^9, 1)"))) == "L(r=2,d=6; 2^9, 1)"
     with pytest.raises(ValueError):
         cone_reduce(LinearSystem.nodes(3, 4, 4))
-
-
-def test_deg1_components_examples():
-    parts = deg1_components(3, 5, 14, 7)
-    assert str(parts.l_p) == "L(r=3,d=4; 2^7)"
-    assert str(parts.hat_l_p) == "L(r=3,d=3; 2^7)"
-    assert parts.r_ambient == binom(6, 2) == 15
-
-    trivial = deg1_components(4, 6, 10, 0)
-    assert str(trivial.l_p) == "L(r=4,d=5; 2^10)"
-
-    with pytest.raises(ValueError):
-        deg1_components(3, 5, 14, 15)
-
-
-def test_deg2_components_examples():
-    parts = deg2_components(3, 6, 21, 10, 1)
-    assert str(parts.bar_l_p0) == "L(r=3,d=5; 2^12)"
-    assert str(cone_reduce(parse_system("L(r=3,d=6; 6, 2^9, 1)"))) == "L(r=2,d=6; 2^9, 1)"
-
-    # beta = 0 collapses onto the first degeneration's systems
-    a = deg2_components(3, 5, 14, 7, 0)
-    b = deg1_components(3, 5, 14, 7)
-    assert (a.l_p0, a.hat_l_p0) == (b.l_p, b.hat_l_p)
-    assert a.bar_l_p0 == b.l_p
-
-    with pytest.raises(ValueError):
-        deg2_components(5, 5, 21, 26, 1)  # b > n
-    with pytest.raises(ValueError):
-        deg2_components(3, 6, 21, 10, 3)  # beta >= r
 
 
 def test_limit_dim_examples():
