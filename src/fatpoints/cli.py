@@ -160,7 +160,7 @@ def _sweep_one(args: argparse.Namespace, prover: Prover, key: tuple[int, int, in
     }
     cfg = replace(_config(args), seed=derive_seed(args.seed, r, d, n))
     try:
-        report = dimension(LinearSystem.nodes(r, d, n), cfg)
+        report = dimension(LinearSystem.nodes(r, d, n), cfg, stop_at_ceiling=True)
         row["oracle_dim"] = report.dim
         row["special"] = report.special
     except BudgetError:

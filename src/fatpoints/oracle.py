@@ -362,8 +362,8 @@ def dimension(
     cannot change ``dim``, and a trial at the ceiling proves the expected
     dimension by semicontinuity.  ``per_trial_rank`` then holds only the
     trials run; when no trial reaches the ceiling, every trial runs.
-    Certificate leaves (prover and verifier) stop early; ``fatpoints dim``
-    and ``sweep`` run every trial.
+    Certificate leaves (prover and verifier) and ``sweep`` rows stop early;
+    ``fatpoints dim`` runs every trial.
     """
     cfg = cfg or FieldConfig()
     _check_budget(sys, cfg)

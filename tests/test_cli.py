@@ -1,5 +1,10 @@
+import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
 
+import fatpoints.oracle as oracle_mod
+from fatpoints import FieldConfig, LinearSystem, dimension
 from fatpoints.cli import EXIT_BUDGET, EXIT_OK, EXIT_REJECT, EXIT_USAGE, SWEEP_CSV_HEADER, main
 
 
@@ -143,6 +148,50 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     run(capsys, "sweep", "--r-max", "3", "--d-max", "4", "--seed", "5", "--out", str(a))
     run(capsys, "sweep", "--r-max", "3", "--d-max", "4", "--seed", "5", "--jobs", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `sweep --r-max 4 --d-max 6 --seed 0` (CSV on stdout), taken while
+# every sweep row ran all of its trials: stopping at the ceiling keeps the bytes
+SWEEP_R4_D6_SEED0_SHA256 = "313e9e3c68f81953005539b390681eb48aefefd95d890f82fc2d91062383e800"
+
+
+def test_sweep_csv_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "sweep", "--r-max", "4", "--d-max", "6", "--seed", "0")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_R4_D6_SEED0_SHA256
+
+
+def test_sweep_rows_match_all_trials(monkeypatch, capsys):
+    """A sweep row stops at its first trial at min(conditions, columns) and
+    still prints the all-trials ``oracle_dim`` and ``special``."""
+    calls = []
+    trial_rank = oracle_mod._trial_rank
+
+    def spy(sys, cfg, trial):
+        calls.append((str(sys), cfg.seed))
+        return trial_rank(sys, cfg, trial)
+
+    monkeypatch.setattr(oracle_mod, "_trial_rank", spy)
+    code, out, _ = run(
+        capsys, "sweep", "--r-max", "4", "--d-max", "6", "--seed", "3", "--format", "json"
+    )
+    assert code == EXIT_OK
+    ran = Counter(calls)
+    cfg = FieldConfig()
+    trials_run = set()
+    for row in json.loads(out):
+        r, d, n = row["r"], row["d"], row["n"]
+        sys = LinearSystem.nodes(r, d, n)
+        seed = oracle_mod.derive_seed(3, r, d, n)
+        ref = dimension(sys, replace(cfg, seed=seed))
+        assert (row["oracle_dim"], row["special"]) == (ref.dim, ref.special), (r, d, n)
+        ceiling = min(sys.conditions_count(), sys.monomial_count())
+        at_ceiling = [t for t, rank in enumerate(ref.per_trial_rank) if rank >= ceiling]
+        want = at_ceiling[0] + 1 if at_ceiling else cfg.trials
+        assert ran[(str(sys), seed)] == want, (r, d, n)
+        trials_run.add(want)
+    # both kinds of row occur: special rows run every trial, the others stop
+    assert {1, cfg.trials} <= trials_run
 
 
 def test_sweep_budget_rows_skipped(tmp_path, capsys):
