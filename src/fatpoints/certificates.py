@@ -454,67 +454,97 @@ def _check_quartic_gen(claim: Claim, params: dict) -> RuleApplication:
     )
 
 
+def cubic_rule(r: int) -> str:
+    """The cubic rule name at r: every node on P^8 and up is an induction step."""
+    return "CUBIC_STEP" if r >= 8 else "CUBIC_BASE"
+
+
+def _main_sides(r: int) -> tuple[SideCondition, ...]:
+    nlo, nlo3 = n_bounds(r, 3)[0], n_bounds(r - 3, 3)[0]
+    dgamma = gamma_r(r) - gamma_r(r - 3)
+    return (
+        _sc("nodes_on_strict_transform", nlo - nlo3, f"== {r + 1}"),
+        _sc("gamma_step", dgamma, ">= 0"),
+        _sc("gamma_step_bound", 1 - dgamma, ">= 0"),
+    )
+
+
+@dataclass(frozen=True)
+class _CubicTrack:
+    covers: Callable[[int], bool]
+    #: the claim system at r, then its two children (each required empty)
+    systems: Callable[[int], tuple[LinearSystem, LinearSystem, LinearSystem]]
+    v_target: str  # relation on the claim's virtual dimension
+    extra_sides: Callable[[int], tuple[SideCondition, ...]] = lambda r: ()
+
+
+# the whole cubic induction: every CUBIC_BASE (r <= 7) and CUBIC_STEP (r >= 8)
+# node is one of these tracks at one r
+_CUBIC_TRACKS: dict[str, _CubicTrack] = {
+    "main": _CubicTrack(
+        lambda r: r in (5, 6) or r >= 8,
+        lambda r: (ah3_system(r), ah3_system(r - 3), matching_system(r)),
+        "== -1",
+        _main_sides,
+    ),
+    "matching": _CubicTrack(
+        lambda r: r >= 8,
+        lambda r: (matching_system(r), k1_system(r), matching_system(r - 3)),
+        "== -1",
+    ),
+    "k1": _CubicTrack(
+        lambda r: r == 6 or r >= 8,
+        lambda r: (k1_system(r), k2_system(r), k1_system(r - 3)),
+        "<= -1",
+    ),
+    "k2": _CubicTrack(
+        lambda r: r >= 7,
+        lambda r: (k2_system(r), quadric_three_subspaces(r), k2_system(r - 1)),
+        "<= -1",
+    ),
+    # the P^7 round blows up a codimension-4 subspace
+    "p7": _CubicTrack(
+        lambda r: r == 7,
+        lambda r: (ah3_system(7), ah3_system(3), p7_matching_system()),
+        "== -1",
+    ),
+    "p7_matching": _CubicTrack(
+        lambda r: r == 7,
+        lambda r: (p7_matching_system(), p7_k1_system(), ah3_system(3)),
+        "== -1",
+    ),
+    "p7_k1": _CubicTrack(
+        lambda r: r == 7,
+        lambda r: (p7_k1_system(), p7_k2_system(), ah3_system(3)),
+        "<= -1",
+    ),
+}
+
+
+def cubic_track(sys: LinearSystem) -> str | None:
+    """The cubic track whose claim system at ``sys.r`` is ``sys``, if any."""
+    for name, track in _CUBIC_TRACKS.items():
+        # the range first: the presets refuse small r
+        if track.covers(sys.r) and track.systems(sys.r)[0] == sys:
+            return name
+    return None
+
+
 def _check_cubic(claim: Claim, params: dict, rule: str) -> RuleApplication:
-    s = claim.system
-    track = str(params.get("track", "main"))
-    v = s.virtual_dim()
-    if track == "main":
-        r = s.r
-        _require(s == ah3_system(r), f"claim system is not the r = {r} cubic target")
-        if rule == "CUBIC_BASE":
-            _require(r in (5, 6), "CUBIC_BASE main track covers r = 5, 6")
-        else:
-            _require(r >= 8, "CUBIC_STEP main track needs r >= 8")
-        nlo, nlo3 = n_bounds(r, 3)[0], n_bounds(r - 3, 3)[0]
-        dgamma = gamma_r(r) - gamma_r(r - 3)
-        sides = (
-            _sc("v_target", v, "== -1"),
-            _sc("nodes_on_strict_transform", nlo - nlo3, f"== {r + 1}"),
-            _sc("gamma_step", dgamma, ">= 0"),
-            _sc("gamma_step_bound", 1 - dgamma, ">= 0"),
-        )
-        children = ((ah3_system(r - 3), EMPTY), (matching_system(r), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "p7":
-        _require(rule == "CUBIC_BASE", "the P^7 round is a base case")
-        _require(s == _nodes(7, 3, 15), "P^7 track proves L(r=7,d=3; 2^15) empty")
-        sides = (_sc("v_target", v, "== -1"),)
-        children = ((_nodes(3, 3, 5), EMPTY), (p7_matching_system(), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "p7_matching":
-        _require(rule == "CUBIC_BASE", "the P^7 round is a base case")
-        _require(s == p7_matching_system(), "wrong P^7 matching system")
-        sides = (_sc("v_target", v, "== -1"),)
-        children = ((p7_k1_system(), EMPTY), (_nodes(3, 3, 5), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "p7_k1":
-        _require(rule == "CUBIC_BASE", "the P^7 round is a base case")
-        _require(s == p7_k1_system(), "wrong P^7 kernel system")
-        sides = (_sc("v_target", v, "<= -1"),)
-        children = ((p7_k2_system(), EMPTY), (_nodes(3, 3, 5), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "matching":
-        r = s.r
-        _require(rule == "CUBIC_STEP" and r >= 8, "matching induction needs r >= 8")
-        _require(s == matching_system(r), f"claim is not the r = {r} matching system")
-        sides = (_sc("v_target", v, "== -1"),)
-        children = ((k1_system(r), EMPTY), (matching_system(r - 3), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "k1":
-        r = s.r
-        _require(s == k1_system(r), f"claim is not K1({r})")
-        _require(r == 6 or r >= 8, "K1 induction covers r = 6 and r >= 8")
-        sides = (_sc("v_target", v, "<= -1"),)
-        children = ((k2_system(r), EMPTY), (k1_system(r - 3), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    if track == "k2":
-        r = s.r
-        _require(s == k2_system(r), f"claim is not K2({r})")
-        _require(r >= 7, "K2 induction covers r >= 7")
-        sides = (_sc("v_target", v, "<= -1"),)
-        children = ((quadric_three_subspaces(r), EMPTY), (k2_system(r - 1), EMPTY))
-        return RuleApplication(sides=sides, children=children, conclusion=EMPTY)
-    raise RuleViolation(f"unknown cubic track {track!r}")
+    s, r = claim.system, claim.system.r
+    _require("track" in params, f"{rule} needs a track")
+    name = str(params["track"])
+    track = _CUBIC_TRACKS.get(name)
+    if track is None:
+        raise RuleViolation(f"unknown cubic track {name!r}")
+    _require(track.covers(r), f"the {name} track does not cover r = {r}")
+    _require(rule == cubic_rule(r), f"r = {r} takes {cubic_rule(r)}, not {rule}")
+    target, *children = track.systems(r)
+    _require(s == target, f"claim is not the r = {r} {name} system")
+    sides = (_sc("v_target", s.virtual_dim(), track.v_target),) + track.extra_sides(r)
+    return RuleApplication(
+        sides=sides, children=tuple((c, EMPTY) for c in children), conclusion=EMPTY
+    )
 
 
 _CHECKERS: dict[str, Callable[[Claim, dict], RuleApplication]] = {

@@ -4,8 +4,9 @@ The cubic argument degenerates P^r by blowing up a codimension-3 subspace
 (codimension 4 in the special P^7 round) and tracks three families of
 auxiliary systems: the target systems of virtual dimension -1, the matching
 systems constrained along the subspace, and the kernel systems K1/K2 with
-nodes on two or three general subspaces.  Both the certificate generator and
-the independent verifier rebuild these shapes from (r,) alone.
+nodes on two or three general subspaces.  The cubic rule checker's track
+table (:mod:`fatpoints.certificates`) is the one place that builds them into
+the induction; the certificate generator proves the children it derives.
 """
 
 from __future__ import annotations

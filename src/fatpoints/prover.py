@@ -13,10 +13,11 @@ fails with the first unsatisfiable side condition named.
 Side conditions and child shapes are derived, and each node is checked, by
 the same rule semantics the independent verifier uses
 (:func:`fatpoints.certificates.check_node`).  For the (1, b)-degenerations
-(DEG1, DEG2 and the quartic rules) the prover only chooses the rule and its
-parameters, then proves the children that
-:func:`fatpoints.certificates.derive_application` names; past a rigid
-exception row of the classification table it reads the row from
+(DEG1, DEG2 and the quartic rules) and the cubic rules (CUBIC_BASE,
+CUBIC_STEP) the prover only chooses the rule and its parameters, or the
+track that :func:`fatpoints.certificates.cubic_track` finds, then proves the
+children that :func:`fatpoints.certificates.derive_application` names; past
+a rigid exception row of the classification table it reads the row from
 :data:`fatpoints.systems.SPORADIC_EXCEPTIONS`.
 """
 
@@ -30,21 +31,14 @@ from .certificates import (
     ProofNode,
     RuleViolation,
     check_node,
+    cubic_rule,
+    cubic_track,
     derive_application,
 )
 from .combinatorics import b0_decompose, gamma_r, n_bounds
 from .errors import FatpointsError
 from .oracle import FieldConfig, derive_seed, dimension
-from .presets import (
-    ah3_system,
-    k1_system,
-    k2_system,
-    matching_system,
-    p7_k1_system,
-    p7_k2_system,
-    p7_matching_system,
-    quadric_three_subspaces,
-)
+from .presets import ah3_system
 from .systems import SPORADIC_EXCEPTIONS, LinearSystem, castelnuovo_split, classify
 
 
@@ -236,8 +230,6 @@ class Prover:
 
     def _cubic_verdict(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
         depth = self._guard(depth)
-        if r == 4:
-            raise ProveError("P^4 cubics at the critical count are the exception row")
         gamma = gamma_r(r)
         nlo, nhi = n_bounds(r, 3)
         if gamma == 0:
@@ -255,98 +247,25 @@ class Prover:
         return self._oracle_leaf(sys, "non_special")
 
     def _ah3(self, r: int, depth: int) -> ProofNode:
+        return self._induction(ah3_system(r), depth)
+
+    def _induction(self, sys: LinearSystem, depth: int) -> ProofNode:
+        """An emptiness goal of the cubic induction: a track node over the
+        children its rule checker derives, else a planar closed form or an
+        oracle leaf."""
         depth = self._guard(depth)
-        sys = ah3_system(r)
 
         def build() -> ProofNode:
-            if r == 2:
+            track = cubic_track(sys)
+            if track is not None:
+                claim = Claim(sys, "empty")
+                rule = cubic_rule(sys.r)
+                app = derive_application(claim, rule, {"track": track})
+                children = tuple(self._induction(s, depth) for s, _req in app.children)
+                return self._make(claim, rule, {"track": track}, children)
+            if sys.r == 2:
                 return self._closed_form(sys, "planar", "empty")
-            if r == 3:
-                return self._oracle_leaf(sys, "empty")
-            if r == 4:
-                raise ProveError(f"{sys} is the exception row, not empty")
-            if r in (5, 6):
-                children = (self._ah3(r - 3, depth), self._matching(r, depth))
-                return self._make(
-                    Claim(sys, "empty"), "CUBIC_BASE", {"track": "main"}, children
-                )
-            if r == 7:
-                children = (self._ah3(3, depth), self._p7_matching(depth))
-                return self._make(
-                    Claim(sys, "empty"), "CUBIC_BASE", {"track": "p7"}, children
-                )
-            children = (self._ah3(r - 3, depth), self._matching(r, depth))
-            return self._make(
-                Claim(sys, "empty"), "CUBIC_STEP", {"track": "main"}, children
-            )
-
-        return self._memoized((str(sys), "empty"), build)
-
-    def _matching(self, r: int, depth: int) -> ProofNode:
-        depth = self._guard(depth)
-        sys = matching_system(r)
-
-        def build() -> ProofNode:
-            if r in (5, 6, 7):
-                return self._oracle_leaf(sys, "empty")
-            children = (self._k1(r, depth), self._matching(r - 3, depth))
-            return self._make(
-                Claim(sys, "empty"), "CUBIC_STEP", {"track": "matching"}, children
-            )
-
-        return self._memoized((str(sys), "empty"), build)
-
-    def _k1(self, r: int, depth: int) -> ProofNode:
-        depth = self._guard(depth)
-        if r == 3:
-            return self._ah3(3, depth)
-        sys = k1_system(r)
-
-        def build() -> ProofNode:
-            if r in (5, 7):
-                return self._oracle_leaf(sys, "empty")
-            rule = "CUBIC_STEP" if r >= 8 else "CUBIC_BASE"
-            children = (self._k2(r, depth), self._k1(r - 3, depth))
-            return self._make(Claim(sys, "empty"), rule, {"track": "k1"}, children)
-
-        return self._memoized((str(sys), "empty"), build)
-
-    def _k2(self, r: int, depth: int) -> ProofNode:
-        depth = self._guard(depth)
-        sys = k2_system(r)
-
-        def build() -> ProofNode:
-            if r == 6:
-                return self._oracle_leaf(sys, "empty")
-            rule = "CUBIC_STEP" if r >= 8 else "CUBIC_BASE"
-            children = (
-                self._oracle_leaf(quadric_three_subspaces(r), "empty"),
-                self._k2(r - 1, depth),
-            )
-            return self._make(Claim(sys, "empty"), rule, {"track": "k2"}, children)
-
-        return self._memoized((str(sys), "empty"), build)
-
-    def _p7_matching(self, depth: int) -> ProofNode:
-        depth = self._guard(depth)
-        sys = p7_matching_system()
-
-        def build() -> ProofNode:
-            k1 = self._memoized(
-                (str(p7_k1_system()), "empty"),
-                lambda: self._make(
-                    Claim(p7_k1_system(), "empty"),
-                    "CUBIC_BASE",
-                    {"track": "p7_k1"},
-                    (self._oracle_leaf(p7_k2_system(), "empty"), self._ah3(3, depth)),
-                ),
-            )
-            return self._make(
-                Claim(sys, "empty"),
-                "CUBIC_BASE",
-                {"track": "p7_matching"},
-                (k1, self._ah3(3, depth)),
-            )
+            return self._oracle_leaf(sys, "empty")
 
         return self._memoized((str(sys), "empty"), build)
 

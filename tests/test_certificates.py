@@ -242,6 +242,61 @@ def test_rewritten_branch_bytes_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == BRANCH_SHA256
 
 
+# the P^7 round, and K1/K2 at r = 6, 7 below the r = 10 main track
+CUBIC_TRACK_KEYS = [(7, 3, 15), (10, 3, 26)]
+CUBIC_TRACK_SHA256 = "1dbe253ee4b22cef298151bae3964cb0d9b08d29430c2e20f5bba5c62d12cd74"
+CUBIC_RULE_TRACKS = {
+    ("CUBIC_BASE", "main"), ("CUBIC_STEP", "main"), ("CUBIC_STEP", "matching"),
+    ("CUBIC_BASE", "k1"), ("CUBIC_STEP", "k1"), ("CUBIC_BASE", "k2"), ("CUBIC_STEP", "k2"),
+    ("CUBIC_BASE", "p7"), ("CUBIC_BASE", "p7_matching"), ("CUBIC_BASE", "p7_k1"),
+}
+
+
+def _rule_tracks(node, acc):
+    if node.rule.startswith("CUBIC_"):
+        acc.add((node.rule, node.params["track"]))
+    for child in node.children:
+        _rule_tracks(child, acc)
+    return acc
+
+
+def test_cubic_track_bytes_pinned():
+    certs = [prove(*key) for key in CUBIC_TRACK_KEYS]
+    text = "".join(certificate_to_json(c) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_TRACK_SHA256
+    used = set()
+    for cert in certs + [prove(*key) for key in PINNED_KEYS + BRANCH_KEYS]:
+        _rule_tracks(cert, used)
+    assert used == CUBIC_RULE_TRACKS
+
+
+def _edit_cubic_nodes(data, r, track, edit):
+    """Apply ``edit`` to every CUBIC node of the JSON tree on P^r with this track."""
+    if data["rule"].startswith("CUBIC_") and data["params"].get("track") == track:
+        if LinearSystem.parse(data["claim"]["system"]).r == r:
+            edit(data)
+    for child in data["children"]:
+        _edit_cubic_nodes(child, r, track, edit)
+
+
+@pytest.mark.parametrize(
+    "r, track, edit, reason",
+    [
+        (10, "k1", lambda n: n.update(rule="CUBIC_BASE"), "r = 10 takes CUBIC_STEP"),
+        (7, "k2", lambda n: n.update(rule="CUBIC_STEP"), "r = 7 takes CUBIC_BASE"),
+        (10, "main", lambda n: n["params"].pop("track"), "CUBIC_STEP needs a track"),
+    ],
+    ids=["k1_step_as_base", "k2_base_as_step", "main_without_track"],
+)
+def test_cubic_rule_name_follows_r(prover, r, track, edit, reason):
+    data = json.loads(certificate_to_json(prover.prove(10, 3, 26)))
+    before = json.dumps(data)
+    _edit_cubic_nodes(data, r, track, edit)
+    assert json.dumps(data) != before
+    res = verify(certificate_from_json(json.dumps(data)))
+    assert not res.accepted and reason in res.reason
+
+
 def _sides(app):
     return {sc.name: sc.value for sc in app.sides}
 
