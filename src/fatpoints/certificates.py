@@ -573,15 +573,13 @@ def derive_application(claim: Claim, rule: str, params: dict) -> RuleApplication
     return checker(claim, params)
 
 
-def check_node(
-    claim: Claim, rule: str, params: dict, children: tuple[ProofNode, ...]
-) -> RuleApplication:
-    """Derive a rule instance and check a node against it: the side
-    conditions hold, the conclusion supports the claim, and each child
-    concerns the derived system and meets its requirement.  Children are
-    judged by their claims only.  Raises :class:`RuleViolation` naming the
-    first failure."""
-    app = derive_application(claim, rule, params)
+def check_application(
+    claim: Claim, rule: str, app: RuleApplication, children: tuple[ProofNode, ...]
+) -> None:
+    """Check a node against its derived rule instance: the side conditions
+    hold, the conclusion supports the claim, and each child concerns the
+    derived system and meets its requirement.  Children are judged by their
+    claims only.  Raises :class:`RuleViolation` naming the first failure."""
     for sc in app.sides:
         if not sc.holds():
             raise RuleViolation(f"side condition {sc.name!r} fails: {sc.value} {sc.relation}")
@@ -601,7 +599,6 @@ def check_node(
                 f"child {i} claim {child.claim.describe()!r} does not imply "
                 f"requirement {requirement!r}"
             )
-    return app
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +685,8 @@ def _verify_node(
         # re-run first, so a claim the oracle refutes is rejected as refuted
         if node.rule == "ORACLE":
             _rerun_oracle(node, cfg)
-        app = check_node(node.claim, node.rule, dict(node.params), node.children)
+        app = derive_application(node.claim, node.rule, dict(node.params))
+        check_application(node.claim, node.rule, app, node.children)
         _check_recorded_sides(node.side_conditions, app)
     except BudgetError:
         raise
@@ -705,13 +703,10 @@ def _verify_node(
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(node: ProofNode, built: dict[int, dict]) -> dict:
-    """The node as a JSON object; a shared subtree's object is built once
-    and written out in full wherever it occurs."""
-    out = built.get(id(node))
-    if out is not None:
-        return out
-    out = {
+def _tail(node: ProofNode, version: int | None = None) -> str:
+    """The node's text after its children: ``],`` then its own fields, which
+    sort after ``"children"``, and the version on the root."""
+    own = {
         "claim": {
             "system": str(node.claim.system),
             "assert": node.claim.assertion,
@@ -723,69 +718,134 @@ def _node_to_dict(node: ProofNode, built: dict[int, dict]) -> dict:
             {"name": sc.name, "value": sc.value, "relation": sc.relation}
             for sc in node.side_conditions
         ],
-        "children": [_node_to_dict(c, built) for c in node.children],
     }
     if node.oracle is not None:
-        out["oracle"] = {
+        own["oracle"] = {
             "prime": node.oracle.prime,
             "seed": node.oracle.seed,
             "trials": node.oracle.trials,
         }
-    built[id(node)] = out
-    return out
+    if version is not None:
+        own["version"] = version
+    return "]," + json.dumps(own, sort_keys=True, separators=(",", ":"))[1:]
 
 
-def _node_from_dict(
-    data: dict, depth: int, systems: dict[str, LinearSystem], nodes: dict[tuple, ProofNode]
-) -> ProofNode:
-    """Read one node.  Equal subtrees come back as one shared node, and each
-    distinct system text is parsed once: ``systems`` and ``nodes`` hold what
-    this read has built so far."""
-    if depth > MAX_DEPTH:
-        raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
-    text = str(data["claim"]["system"])
-    system = systems.get(text)
-    if system is None:
-        system = systems[text] = LinearSystem.parse(text)
-    claim = Claim(
-        system=system,
-        assertion=data["claim"]["assert"],
-        value=None if data["claim"].get("value") is None else int(data["claim"]["value"]),
+def _raw_fields(data: dict) -> tuple:
+    """A node's own fields as read, hashable, such that equal raw fields
+    convert to equal fields: each param keeps its JSON type, and the text
+    fields are taken as the reader converts them."""
+    claim = data["claim"]
+    return (
+        str(claim["system"]),
+        claim["assert"],
+        claim.get("value"),
+        str(data["rule"]),
+        tuple((k, type(v), v) for k, v in data.get("params", {}).items()),
+        tuple(
+            (str(sc["name"]), sc["value"], str(sc["relation"]))
+            for sc in data.get("side_conditions", [])
+        ),
+        tuple(data["oracle"][k] for k in ("prime", "seed", "trials")) if "oracle" in data else None,
     )
-    oracle = None
-    if "oracle" in data:
-        oracle = OracleStamp(
-            prime=int(data["oracle"]["prime"]),
-            seed=int(data["oracle"]["seed"]),
-            trials=int(data["oracle"]["trials"]),
+
+
+class _Reader:
+    """One read.  Equal subtrees come back as one shared node, as the
+    generator builds them; each distinct system text is parsed once, and
+    each distinct raw spelling of a node's own fields is converted once."""
+
+    def __init__(self) -> None:
+        self.systems: dict[str, LinearSystem] = {}
+        # raw own fields -> (claim, rule, sides, stamp, own id)
+        self.fields: dict[tuple, tuple] = {}
+        # converted own fields -> own id; "3" and 3 as a claim value share one
+        self.own_ids: dict[tuple, int] = {}
+        self.nodes: dict[tuple, ProofNode] = {}
+
+    def node(self, data: dict, depth: int) -> ProofNode:
+        if depth > MAX_DEPTH:
+            raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
+        try:
+            raw = _raw_fields(data)
+            own = self.fields.get(raw)
+        except Exception:
+            # malformed or unhashable: converted below, which refuses it as it always has
+            raw = own = None
+        if own is None:
+            converted = self._convert(data)
+            own = (*converted[:4], self.own_ids.setdefault(converted, len(self.own_ids)))
+            if raw is not None:
+                self.fields[raw] = own
+        claim, rule, sides, oracle, own_id = own
+        children = tuple([self.node(c, depth + 1) for c in data.get("children", [])])
+        key = (own_id, tuple(map(id, children)))
+        node = self.nodes.get(key)
+        if node is None:
+            params = dict(data.get("params", {}))
+            node = self.nodes[key] = ProofNode(claim, rule, params, sides, children, oracle)
+        return node
+
+    def _convert(self, data: dict) -> tuple:
+        """(claim, rule, sides, stamp, typed params), validated in the order
+        claim, stamp, params, rule, sides."""
+        text = str(data["claim"]["system"])
+        system = self.systems.get(text)
+        if system is None:
+            system = self.systems[text] = LinearSystem.parse(text)
+        claim = Claim(
+            system=system,
+            assertion=data["claim"]["assert"],
+            value=None if data["claim"].get("value") is None else int(data["claim"]["value"]),
         )
-    params = dict(data.get("params", {}))
-    if any(isinstance(v, (list, dict)) for v in params.values()):
-        raise FatpointsError("rule parameters are scalars")
-    rule = str(data["rule"])
-    sides = tuple(
-        SideCondition(str(sc["name"]), int(sc["value"]), str(sc["relation"]))
-        for sc in data.get("side_conditions", [])
-    )
-    children = tuple(
-        _node_from_dict(c, depth + 1, systems, nodes) for c in data.get("children", [])
-    )
-    # the JSON type keeps 1, 1.0 and true apart: each reads and writes back differently
-    typed_params = tuple(sorted((k, type(v), v) for k, v in params.items()))
-    key = (claim, rule, typed_params, sides, oracle, tuple(map(id, children)))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = ProofNode(claim, rule, params, sides, children, oracle)
-    return node
+        oracle = None
+        if "oracle" in data:
+            oracle = OracleStamp(
+                prime=int(data["oracle"]["prime"]),
+                seed=int(data["oracle"]["seed"]),
+                trials=int(data["oracle"]["trials"]),
+            )
+        params = dict(data.get("params", {}))
+        if any(isinstance(v, (list, dict)) for v in params.values()):
+            raise FatpointsError("rule parameters are scalars")
+        rule = str(data["rule"])
+        sides = tuple(
+            SideCondition(str(sc["name"]), int(sc["value"]), str(sc["relation"]))
+            for sc in data.get("side_conditions", [])
+        )
+        # the JSON type keeps 1, 1.0 and true apart: each reads and writes back differently
+        typed_params = tuple(sorted((k, type(v), v) for k, v in params.items()))
+        return claim, rule, sides, oracle, typed_params
 
 
 def certificate_to_json(root: ProofNode) -> str:
-    """Stable, byte-reproducible encoding (sorted keys, fixed separators)."""
-    payload = {"version": CERTIFICATE_VERSION, **_node_to_dict(root, {})}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Stable, byte-reproducible encoding (sorted keys, fixed separators).
+
+    With sorted keys a node's text is ``{"children":[``, its children's
+    texts joined by commas, then its tail (:func:`_tail`).  A shared
+    subtree is written in full wherever it occurs, but its tail is encoded
+    once per call."""
+    # no node lies below itself, so the root's tail is the only one with the version
+    tails = {id(root): _tail(root, CERTIFICATE_VERSION)}
+    parts: list[str] = []
+
+    def write(node: ProofNode) -> None:
+        parts.append('{"children":[')
+        for i, child in enumerate(node.children):
+            if i:
+                parts.append(",")
+            write(child)
+        tail = tails.get(id(node))
+        if tail is None:
+            tail = tails[id(node)] = _tail(node)
+        parts.append(tail)
+
+    write(root)
+    parts.append("\n")  # joined once: a large file is not copied again
+    return "".join(parts)
 
 
 def certificate_from_json(text: str) -> ProofNode:
+    """Read a certificate; see :class:`_Reader` for what is shared."""
     try:
         data = json.loads(text)
     except RecursionError as exc:
@@ -795,7 +855,7 @@ def certificate_from_json(text: str) -> ProofNode:
     version = data.get("version")
     if version != CERTIFICATE_VERSION:
         raise FatpointsError(f"unsupported certificate version {version!r}")
-    return _node_from_dict(data, 1, {}, {})
+    return _Reader().node(data, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ fails with the first unsatisfiable side condition named.
 
 Side conditions and child shapes are derived, and each node is checked, by
 the same rule semantics the independent verifier uses
-(:func:`fatpoints.certificates.check_node`).  For the (1, b)-degenerations
+(:func:`fatpoints.certificates.check_application`), and each rule instance
+is derived once.  For the (1, b)-degenerations
 (DEG1, DEG2 and the quartic rules) and the cubic rules (CUBIC_BASE,
 CUBIC_STEP) the prover only chooses the rule and its parameters, or the
 track that :func:`fatpoints.certificates.cubic_track` finds, then proves the
@@ -29,8 +30,10 @@ from .certificates import (
     Claim,
     OracleStamp,
     ProofNode,
+    RuleApplication,
     RuleViolation,
-    check_node,
+    _depth_exceeds,
+    check_application,
     cubic_rule,
     cubic_track,
     derive_application,
@@ -60,9 +63,14 @@ class Prover:
         params: dict,
         children: tuple[ProofNode, ...] = (),
         oracle: OracleStamp | None = None,
+        app: RuleApplication | None = None,
     ) -> ProofNode:
+        """The checked node; ``app`` is the rule instance when the caller
+        has derived it already."""
         try:
-            app = check_node(claim, rule, params, children)
+            if app is None:
+                app = derive_application(claim, rule, params)
+            check_application(claim, rule, app, children)
         except (RuleViolation, ValueError) as exc:
             raise ProveError(f"{rule} on {claim.describe()}: {exc}") from exc
         return ProofNode(claim, rule, dict(params), app.sides, children, oracle)
@@ -116,7 +124,11 @@ class Prover:
             raise ProveError(f"degree {d} systems are fully classical; nothing to prove")
         if n < 0:
             raise ProveError(f"need n >= 0, got {n}")
-        return self._verdict(r, d, n, 0)
+        root = self._verdict(r, d, n, 0)
+        # the memo reuses a subtree built near the root deeper down, past _guard
+        if _depth_exceeds(root, MAX_DEPTH):
+            raise ProveError(f"certificate deeper than {MAX_DEPTH} levels, which verify refuses")
+        return root
 
     def _verdict(self, r: int, d: int, n: int, depth: int) -> ProofNode:
         depth = self._guard(depth)
@@ -215,7 +227,7 @@ class Prover:
             (self._empty if req == EMPTY else self._verdict)(s.r, s.d, s.point_count(2), depth)
             for s, req in app.children
         )
-        return self._make(claim, rule, params, children)
+        return self._make(claim, rule, params, children, app=app)
 
     # -- quartics -------------------------------------------------------------
 
@@ -262,7 +274,7 @@ class Prover:
                 rule = cubic_rule(sys.r)
                 app = derive_application(claim, rule, {"track": track})
                 children = tuple(self._induction(s, depth) for s, _req in app.children)
-                return self._make(claim, rule, {"track": track}, children)
+                return self._make(claim, rule, {"track": track}, children, app=app)
             if sys.r == 2:
                 return self._closed_form(sys, "planar", "empty")
             return self._oracle_leaf(sys, "empty")

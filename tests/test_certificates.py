@@ -675,3 +675,153 @@ def test_mutated_certificate_accepted_only_with_the_original_claim(mutation_sour
         assert cert.claim.known_dim() == original.claim.known_dim()
     else:
         assert res.reason
+
+
+# ---------------------------------------------------------------------------
+# serialization: the writer and the reader against the plain encoding
+# ---------------------------------------------------------------------------
+
+
+def _plain_to_json(root):
+    """The certificate as one json.dumps over the whole tree, every node
+    written as a full object wherever it occurs."""
+
+    def node_to_dict(node):
+        out = {
+            "claim": {
+                "system": str(node.claim.system),
+                "assert": node.claim.assertion,
+                "value": node.claim.value,
+            },
+            "rule": node.rule,
+            "params": dict(node.params),
+            "side_conditions": [
+                {"name": sc.name, "value": sc.value, "relation": sc.relation}
+                for sc in node.side_conditions
+            ],
+            "children": [node_to_dict(c) for c in node.children],
+        }
+        if node.oracle is not None:
+            out["oracle"] = {
+                "prime": node.oracle.prime,
+                "seed": node.oracle.seed,
+                "trials": node.oracle.trials,
+            }
+        return out
+
+    payload = {"version": 1, **node_to_dict(root)}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_AWKWARD_TEXT = st.sampled_from(['"', "\\", 'a"b\\c', "é", "☃", "\U0001d53d", "\n\t", "\x00"])
+_TEXT = st.text(max_size=6) | _AWKWARD_TEXT
+_PARAM_VALUES = (
+    st.sampled_from([True, False, 1, 1.0, 0, -0.0, None]) | st.integers() | st.floats() | _TEXT
+)
+
+
+@st.composite
+def _claims(draw):
+    system = LinearSystem.nodes(draw(st.integers(2, 4)), draw(st.integers(2, 6)),
+                                draw(st.integers(0, 9)))
+    assertion = draw(st.sampled_from(certs_mod.ASSERTIONS))
+    value = draw(st.integers(-2**70, 2**70)) if assertion == "dim" else None
+    return Claim(system, assertion, value)
+
+
+@st.composite
+def _proof_dags(draw):
+    """A proof tree whose nodes take their children from the nodes built
+    before them, so subtrees are shared."""
+    built = []
+    for _ in range(draw(st.integers(1, 8))):
+        children = tuple(draw(st.lists(st.sampled_from(built), max_size=3))) if built else ()
+        built.append(ProofNode(
+            claim=draw(_claims()),
+            rule=draw(_TEXT),
+            params=draw(st.dictionaries(_TEXT, _PARAM_VALUES, max_size=3)),
+            side_conditions=tuple(draw(st.lists(
+                st.builds(SideCondition, _TEXT, st.integers(), _TEXT), max_size=3))),
+            children=children,
+            oracle=draw(st.none() | st.builds(OracleStamp, st.integers(), st.integers(),
+                                              st.integers())),
+        ))
+    return built[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=_proof_dags())
+def test_writer_matches_the_plain_encoding(root):
+    assert certificate_to_json(root) == _plain_to_json(root)
+
+
+def _stamped_leaf(value=0):
+    return {"claim": {"system": "L(r=2,d=4; 2^5)", "assert": "dim", "value": value},
+            "rule": "ORACLE", "params": {"family": "none"},
+            "side_conditions": [{"name": "spare", "value": 1, "relation": "== 1"}],
+            "oracle": {"prime": 2147483647, "seed": 5, "trials": 3},
+            "children": []}
+
+
+def _read_children(*children):
+    return certificate_from_json(json.dumps({"version": 1, **_stamped_leaf(), "children": list(children)}))
+
+
+def test_reader_shares_subtrees_spelled_differently():
+    a, b = _read_children(_stamped_leaf("3"), _stamped_leaf(3)).children
+    assert a is b and a.claim.value == 3
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("claim", "value"), [3]),
+    (("oracle", "prime"), {"p": 7}),
+    (("side_conditions", 0, "value"), [1]),
+])
+def test_reader_refuses_unhashable_fields_as_int_does(path, bad):
+    node = _stamped_leaf()
+    target = node
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = bad
+    with pytest.raises(TypeError) as want:
+        int(bad)
+    # the same node spelled correctly comes first
+    with pytest.raises(TypeError) as got:
+        _read_children(_stamped_leaf(), node)
+    assert str(got.value) == str(want.value)
+
+
+def test_reader_reports_a_nodes_own_field_before_its_childrens():
+    bad_child = dict(_stamped_leaf(), claim={"system": "L(r=2,d=2)", "assert": "huge"})
+    node = dict(_stamped_leaf(), children=[bad_child])
+    node["oracle"] = dict(node["oracle"], seed="five")
+    with pytest.raises(ValueError, match="unknown assertion 'huge'"):
+        _read_children(bad_child)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        _read_children(_stamped_leaf(), node)
+
+
+def _respellings(old):
+    """Fixed replacements for one field: bumped, spelled as another JSON
+    type, wrapped in a list and wrapped in an object."""
+    bumped = old + "_" if isinstance(old, str) else (old or 0) + 1
+    return [bumped, 1 if isinstance(old, str) else str(old), [old], {"v": old}]
+
+
+def test_single_field_mutations_read_back_as_pinned(mutation_sources):
+    digest = hashlib.sha256()
+    for key, source in mutation_sources:
+        for path, old in _mutable_fields(source):
+            for new in _respellings(old):
+                mutated = json.loads(json.dumps(source))
+                target = mutated
+                for step in path[:-1]:
+                    target = target[step]
+                target[path[-1]] = new
+                try:
+                    out = certificate_to_json(certificate_from_json(json.dumps(mutated)))
+                except (FatpointsError, ValueError, KeyError, TypeError) as exc:
+                    # the wording of int()'s TypeError varies across Python versions
+                    out = type(exc).__name__ + ("" if isinstance(exc, TypeError) else f": {exc}")
+                digest.update(f"{key} {path} {new!r}\n{out}\n".encode())
+    assert digest.hexdigest() == "bf9e70e5bc2b5d4cf989bbaa813f64345243a058c361bb4e33943e4159e619d6"

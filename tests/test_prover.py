@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import pytest
 
+import fatpoints.certificates as certs_mod
+import fatpoints.prover as prover_mod
 from fatpoints import (
     Claim,
     FieldConfig,
@@ -206,3 +208,26 @@ def test_failure_names_obstruction():
     prover = Prover(FieldConfig())
     with pytest.raises(ProveError, match="virtual dimension"):
         prover._empty(3, 5, 10, 0)
+
+
+def test_prove_refuses_tree_deeper_than_verifier_reads(monkeypatch):
+    # the memo reuses shallow subtrees deeper down, past the recursion guard
+    monkeypatch.setattr(certs_mod, "MAX_DEPTH", 16)
+    monkeypatch.setattr(prover_mod, "MAX_DEPTH", 16)
+    with pytest.raises(ProveError, match="deeper than 16 levels"):
+        Prover().prove(13, 5, 612)
+
+
+def test_prover_derives_each_rule_application_once(monkeypatch):
+    rules = []
+    real = certs_mod.derive_application
+
+    def spy(claim, rule, params):
+        rules.append(rule)
+        return real(claim, rule, params)
+
+    monkeypatch.setattr(certs_mod, "derive_application", spy)
+    monkeypatch.setattr(prover_mod, "derive_application", spy)
+    root = Prover().prove(10, 3, 26)
+    assert len({id(node) for node in collect(root)}) == 19
+    assert len(rules) == 20
