@@ -14,10 +14,14 @@ eliminated row by row on [its first 64 columns | I_b] only: when that window
 holds b pivots, the block's column rank profile lies in it, and the
 transform accumulated in I_b reduces the other columns with one product;
 otherwise the same row loop runs on the full width.  All products are
-exact: operands are split into 16-bit halves so the three partial float64
-matmuls stay below 2^53, which keeps the hot path in BLAS, and the partial
-products are combined by Horner's rule in base 2^16 with three reductions.
-Every array reduction goes through ``_mod``: the floor division
+exact and run in BLAS, after FFLAS's delayed reduction: with balanced
+residues (absolute value at most p // 2 < 2^30) and the smaller operand
+split into 15-bit halves, two float64 products per 256-wide chunk of the
+inner dimension stay below 2^53; the chunks are summed in int64, reduced
+every 512 chunks to stay below 2^63, and combined with one final
+reduction.  After a product is subtracted from residues, one sign fix
+``x += (x >> 63) & p`` brings the difference back to [0, p).  Every other
+array reduction goes through ``_mod``: the floor division
 ``x -= (x // p) * p``, as numpy divides int64 by a scalar fast and on arrays
 of a few thousand entries this is up to four times faster than int64 ``%``,
 but ``%`` itself below 256 entries, where its one call costs less.  Entries
@@ -32,6 +36,8 @@ MAX_PRIME = 2**31 - 1
 _BASE_ROWS = 16  # blocks this small are eliminated row by row
 _WINDOW = 64  # base cases wider than twice this eliminate these leading columns first
 _SMALL = 256  # _mod takes np.remainder below this many entries
+_CHUNK = 256  # inner width of one exact float64 product (2^30 * 2^15 * 256 = 2^53)
+_FLUSH = 512  # chunks summed in int64 between reductions (512 * 2^53 = 2^62)
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -47,39 +53,61 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _balanced(x: np.ndarray, p: int) -> np.ndarray:
+    """float64 copy of ``x`` (entries in [0, p)) with each entry above p // 2
+    moved down by p, so every entry is at most p // 2 in absolute value."""
+    f = x.astype(np.float64)
+    f -= (f > p // 2) * float(p)
+    return f
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p, exact, for int64 operands reduced mod p < 2^31.
 
-    Karatsuba-style 16-bit split a = 2^16 a_hi + a_lo (a_hi < 2^15, a_lo <
-    2^16), likewise b: three float64 products hh = a_hi b_hi, ll = a_lo b_lo
-    and mixed = (a_hi + a_lo)(b_hi + b_lo).  Every entry of mixed, the largest,
-    is below (2^15 + 2^16)^2 k < 2^34 k for inner dimension k, so all three are
-    exact while k < 2^19 (2^34 k < 2^53).  With mid = mixed - hh - ll the
-    product is hh 2^32 + mid 2^16 + ll, combined by Horner's rule in base 2^16:
-    x = mid + (hh mod p) 2^16 < 2^54, reduce, x = x 2^16 + ll < 2^52, reduce.
+    Both operands are taken to balanced residues, of absolute value at most
+    p // 2 < 2^30.  The one with fewer entries, s, is split as
+    s = 2^15 s_hi + s_lo with |s_hi| <= 2^15 and 0 <= s_lo < 2^15; the other
+    one, u, stays whole.  The inner dimension is walked in chunks of 256:
+    there the two float64 products of u with s_hi and with s_lo have every
+    partial sum below 2^30 2^15 256 = 2^53, so they are exact.  Each chunk's
+    products are added into int64 accumulators hi and lo, which are reduced
+    every 512 chunks (512 2^53 = 2^62, so int64 never overflows); the result
+    is (hi mod p) 2^15 + lo, reduced once.  The contract is exactness below
+    inner dimension 2^19; a wider product raises ``ValueError``.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if a.shape[1] >= 1 << 19:
+    k = a.shape[1]
+    if k >= 1 << 19:
         raise ValueError("inner dimension too large for exact float64 products")
-    a_hi = (a >> 16).astype(np.float64)
-    a_lo = (a & 0xFFFF).astype(np.float64)
-    b_hi = (b >> 16).astype(np.float64)
-    b_lo = (b & 0xFFFF).astype(np.float64)
-    hh = (a_hi @ b_hi).astype(np.int64)
-    ll = (a_lo @ b_lo).astype(np.int64)
-    x = ((a_hi + a_lo) @ (b_hi + b_lo)).astype(np.int64)
-    x -= hh
-    x -= ll
-    _mod(hh, p)
-    hh <<= 16
-    x += hh
-    _mod(x, p)
-    x <<= 16
-    x += ll
-    return _mod(x, p)
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    split_a = a.size <= b.size
+    u = _balanced(b if split_a else a, p)
+    s = _balanced(a if split_a else b, p)
+    s_hi = np.floor(s * 2.0**-15)
+    s_lo = s - s_hi * 2.0**15
+    buf = np.empty((a.shape[0], b.shape[1]))
+    hi = np.empty(buf.shape, dtype=np.int64)
+    lo = np.empty(buf.shape, dtype=np.int64)
+    for c, start in enumerate(range(0, k, _CHUNK)):
+        cols = slice(start, start + _CHUNK)
+        for part, acc in ((s_hi, hi), (s_lo, lo)):
+            if split_a:
+                np.matmul(part[:, cols], u[cols], out=buf)
+            else:
+                np.matmul(u[:, cols], part[cols], out=buf)
+            if c:
+                np.add(acc, buf, out=acc, dtype=np.int64, casting="unsafe")
+            else:
+                np.copyto(acc, buf, casting="unsafe")
+        if c % _FLUSH == _FLUSH - 1:
+            _mod(hi, p)
+            _mod(lo, p)
+    _mod(hi, p)
+    hi <<= 15
+    hi += lo
+    return _mod(hi, p)
 
 
 class RowReducer:
@@ -160,7 +188,7 @@ def _extend(
     red = blk[:, free]
     if len(pivots):
         red -= matmul_mod(blk[:, pivots], rest, p)
-        _mod(red, p)
+        red += (red >> 63) & p
     new_piv, keep, new = _rref(red, p)
     if not new_piv.size:
         return pivots, free, rest
@@ -171,7 +199,7 @@ def _extend(
         old = out[:k]
         np.take(rest, keep, axis=1, out=old)
         old -= matmul_mod(rest[:, new_piv], new, p)
-        _mod(old, p)
+        old += (old >> 63) & p
     return np.concatenate([pivots, free[new_piv]]), free[keep], out
 
 

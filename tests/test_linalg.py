@@ -36,8 +36,10 @@ def test_rank_matches_naive(data):
 
 def _check_basis(red: RowReducer, a: np.ndarray, want: int, p: int) -> None:
     """Rebuild the k x n RREF that the reducer's compact (pivots, free, rest)
-    stands for: ``want`` rows, identity on the pivot columns, spanning ``a``."""
+    stands for: ``want`` rows, identity on the pivot columns, spanning ``a``;
+    its stored entries are residues in [0, p), as the products require."""
     pivots, free = red._pivots, red._free
+    assert ((red._rest >= 0) & (red._rest < p)).all()
     assert (np.sort(np.concatenate([pivots, free])) == np.arange(red.ncols)).all()
     assert (np.diff(free) > 0).all()
     basis = np.zeros((len(pivots), red.ncols), dtype=np.int64)
@@ -133,11 +135,34 @@ def test_base_case_path(monkeypatch, kind, loops):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_matmul_mod_exact(data):
+    """Inner dimensions up to 600, across the 256-wide product chunks; either
+    operand may be the smaller one, the one that is split."""
     p = data.draw(st.sampled_from(PRIMES))
-    m, k, n = (data.draw(st.integers(1, 25)) for _ in range(3))
+    m, n = (data.draw(st.integers(1, 25)) for _ in range(2))
+    k = data.draw(st.integers(1, 600))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     a = rng.integers(0, p, size=(m, k), dtype=np.int64)
     b = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    exact = (a.astype(object) @ b.astype(object)) % p
+    assert (matmul_mod(a, b, p) == exact.astype(np.int64)).all()
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
+@pytest.mark.parametrize("k", [256, 257, 256 * 512 + 1, 2**19 - 1])
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_matmul_mod_exact_at_balanced_extremes(p, k, m, n):
+    """Entries p // 2 and p // 2 + 1, the balanced residues (p - 1)/2 and
+    -(p - 1)/2, which give the largest chunk products of either sign.  k = 256
+    is one full chunk, 257 starts a second, 256 * 512 + 1 is the first inner
+    dimension past an int64 reduction, and at 2^19 - 1 the unreduced chunk
+    sums would pass 2^63; (2, 3) splits a, (3, 2) splits b."""
+    h = p // 2
+    a = np.full((m, k), h, dtype=np.int64)
+    a[1] = h + 1
+    a[2:, ::3] = h + 1
+    b = np.full((k, n), h, dtype=np.int64)
+    b[:, 1] = h + 1
+    b[::3, 2:] = h + 1
     exact = (a.astype(object) @ b.astype(object)) % p
     assert (matmul_mod(a, b, p) == exact.astype(np.int64)).all()
 
@@ -169,13 +194,16 @@ def test_matmul_mod_rejects_inner_dimension_2_pow_19():
 
 def _kernel_values(p: int) -> st.SearchStrategy[int]:
     """Values the kernel reduces: differences in (-p, p), multiples of p,
-    base-case products up to (p - 1)^2 either sign, Horner sums up to 2^62."""
+    base-case products up to (p - 1)^2 either sign, and matmul_mod's int64
+    sums: up to 512 chunks below 2^53 each, either sign, plus 2^15 times a
+    residue."""
+    top = 2**62 + 2**47
     return st.one_of(
         st.integers(-(p - 1), p - 1),
         st.integers(-4, 4).map(lambda q: q * p),
         st.integers(-((p - 1) ** 2), (p - 1) ** 2),
-        st.integers(0, 2**62),
-        st.sampled_from([0, p - 1, 1 - p, (p - 1) ** 2, -((p - 1) ** 2), 2**62]),
+        st.integers(-top, top),
+        st.sampled_from([0, p - 1, 1 - p, (p - 1) ** 2, -((p - 1) ** 2), top, -top]),
     )
 
 
