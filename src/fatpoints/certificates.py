@@ -634,15 +634,19 @@ def verify(root: ProofNode, cfg: FieldConfig | None = None) -> VerifyResult:
     generator does.  Never calls the generator.  Each node object is
     checked once: a subtree shared by several parents, as the generator's
     memo and :func:`certificate_from_json` build them, is checked where it
-    first occurs.  A tree deeper than ``MAX_DEPTH`` levels is rejected
-    before any node is checked.  Oracle re-runs honor ``cfg.max_columns``
+    first occurs.  Each distinct (system, stamp) is re-run once, and every
+    oracle leaf on it is checked against that one report: the generator
+    stamps a system the same way whatever its claim, so one system can be
+    an ``empty`` leaf and a ``non_special`` one.  A tree deeper than
+    ``MAX_DEPTH`` levels is rejected before any node is checked.  Oracle
+    re-runs honor ``cfg.max_columns``
     and may raise :class:`~fatpoints.errors.BudgetError`.
     """
     cfg = cfg or FieldConfig()
     if _depth_exceeds(root, MAX_DEPTH):
         return VerifyResult(False, f"certificate deeper than {MAX_DEPTH} levels", ())
     try:
-        _verify_node(root, (), cfg, set())
+        _verify_node(root, (), cfg, set(), {})
     except _Reject as rej:
         return VerifyResult(False, rej.reason, rej.path)
     return VerifyResult(True)
@@ -666,10 +670,13 @@ def _check_recorded_sides(recorded: tuple[SideCondition, ...], app: RuleApplicat
             )
 
 
-def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
+def _rerun_oracle(node: ProofNode, cfg: FieldConfig, reports: dict) -> None:
     if node.oracle is None:
         raise RuleViolation("oracle leaf without a stamp")
-    report = dimension(node.claim.system, node.oracle.run_config(cfg), stop_at_ceiling=True)
+    key = (node.claim.system, node.oracle)
+    if key not in reports:
+        reports[key] = dimension(key[0], node.oracle.run_config(cfg), stop_at_ceiling=True)
+    report = reports[key]
     if report.dim != node.claim.known_dim():
         raise RuleViolation(
             f"oracle re-run found dim {report.dim}, claim needs {node.claim.known_dim()}"
@@ -677,14 +684,18 @@ def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
 
 
 def _verify_node(
-    node: ProofNode, path: tuple[int, ...], cfg: FieldConfig, accepted: set[int]
+    node: ProofNode,
+    path: tuple[int, ...],
+    cfg: FieldConfig,
+    accepted: set[int],
+    reports: dict,
 ) -> None:
     if id(node) in accepted:
         return
     try:
         # re-run first, so a claim the oracle refutes is rejected as refuted
         if node.rule == "ORACLE":
-            _rerun_oracle(node, cfg)
+            _rerun_oracle(node, cfg, reports)
         app = derive_application(node.claim, node.rule, dict(node.params))
         check_application(node.claim, node.rule, app, node.children)
         _check_recorded_sides(node.side_conditions, app)
@@ -694,7 +705,7 @@ def _verify_node(
         where = f"node {'/'.join(map(str, path)) or 'root'} [{node.rule}] {node.claim.describe()}"
         raise _Reject(f"{where}: {exc}", path) from exc
     for i, child in enumerate(node.children):
-        _verify_node(child, path + (i,), cfg, accepted)
+        _verify_node(child, path + (i,), cfg, accepted, reports)
     accepted.add(id(node))
 
 

@@ -1,50 +1,44 @@
 """Exact rank computation over a prime field, tuned for wide dense matrices.
 
-The reducer keeps a growing row-reduced basis (RREF: unit pivots, pivot
-columns cleared everywhere) and absorbs incoming rows in blocks (256 rows by
-default) by recursive rank-profile elimination, after FFPACK's PLUQ: reduce
-the block against the basis with one modular matrix product, take the
-block's own RREF by halving it (the top half's RREF, then the bottom half
-absorbed into that) down to 16-row base cases, then clear the new pivot
-columns from the old basis with a second product and append the new rows.
-Pivot columns of an RREF are unit vectors, so the basis is stored as
-[I | R], keeping only R on the still-free columns, and both products run on
-those columns only.  A b-row base case wider than 2 * 64 columns is
-eliminated row by row on [its first 64 columns | I_b] only: when that window
-holds b pivots, the block's column rank profile lies in it, and the
-transform accumulated in I_b reduces the other columns with one product;
-otherwise the same row loop runs on the full width.  All products are
-exact and run in BLAS, after FFLAS's delayed reduction: with balanced
-residues (absolute value at most p // 2 < 2^30) and the smaller operand
-split into 15-bit halves, two float64 products per 256-wide chunk of the
-inner dimension stay below 2^53; the chunks are summed in int64, reduced
-every 512 chunks to stay below 2^63, and combined with one final
-reduction.  After a product is subtracted from residues, one sign fix
-``x += (x >> 63) & p`` brings the difference back to [0, p).  Every other
-array reduction goes through ``_mod``: the floor division
-``x -= (x // p) * p``, as numpy divides int64 by a scalar fast and on arrays
-of a few thousand entries this is up to four times faster than int64 ``%``,
-but ``%`` itself below 256 entries, where its one call costs less.  Entries
-must live in [0, p) with p < 2^31.
+The reducer keeps a growing RREF basis as [I | R], storing R on the free
+columns, and absorbs rows in blocks (256 by default) by recursive
+rank-profile elimination, after FFPACK's PLUQ: reduce the block against the
+basis with one modular product, take the block's RREF, then clear the new
+pivot columns from the basis with a second product.  A block of b rows on
+n > 2 w columns, w = max(b, 64), first takes the RREF of [its first w
+columns | I_b]; if that window holds b pivots, the transform in I_b reduces
+the other columns with one product.  Otherwise a block of over 16 rows is
+halved, and a smaller one is eliminated row by row in int64 (exact).
+
+Basis and blocks are integer-valued float64 balanced residues, at most
+(p + 1) // 2 <= 2^30 in absolute value, converted once when queued.
+``matmul_mod(a, b, p, c=c)`` sets c -= a b by FFLAS's delayed reduction:
+the smaller operand is split as 2^15 s_hi + s_lo (|s_hi| <= 2^15,
+|s_lo| <= 2^14), so over an inner width of 256 both float64 products are
+exact (2^30 2^15 256 = 2^53).  One such chunk is reduced in float64 (see
+``_reduce``); wider products, and the public int64 ``matmul_mod(a, b, p)``,
+sum their chunks in int64, reduced every 512 chunks (512 2^53 = 2^62).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 MAX_PRIME = 2**31 - 1
 _BASE_ROWS = 16  # blocks this small are eliminated row by row
-_WINDOW = 64  # base cases wider than twice this eliminate these leading columns first
+_WINDOW = 64  # least window width; blocks wider than twice the window try it first
 _SMALL = 256  # _mod takes np.remainder below this many entries
 _CHUNK = 256  # inner width of one exact float64 product (2^30 * 2^15 * 256 = 2^53)
 _FLUSH = 512  # chunks summed in int64 between reductions (512 * 2^53 = 2^62)
+_local = threading.local()  # per-thread scratch of the in-place matmul_mod
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce int64 ``x`` mod p in place (floor semantics, like ``%``) and return it.
-
-    Below a few hundred entries one ``np.remainder`` costs less than the
-    three ufunc calls of the floor division (1 µs against 2 µs on 16)."""
+    """Reduce int64 ``x`` mod p in place (floor semantics, like ``%``) and return
+    it; below ``_SMALL`` entries one ``np.remainder`` costs less (1 µs against
+    2 µs on 16) than the three ufunc calls of the floor division."""
     if x.size < _SMALL:
         return np.remainder(x, p, out=x)
     q = x // p
@@ -53,73 +47,85 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _balanced(x: np.ndarray, p: int) -> np.ndarray:
-    """float64 copy of ``x`` (entries in [0, p)) with each entry above p // 2
-    moved down by p, so every entry is at most p // 2 in absolute value."""
-    f = x.astype(np.float64)
-    f -= (f > p // 2) * float(p)
-    return f
+def _reduce(x: np.ndarray, p: int, t: np.ndarray | None = None) -> np.ndarray:
+    """``x -= rint(x (1/p)) p`` in place on integer-valued float64 ``x``, scratch
+    ``t``.  For |x| <= 2^53, q is off x/p by at most 2/p: |x| <= p/2 + 2 after,
+    exact while |q p| <= 2^53, as for a chunk's s_hi product (|x| <= 2^22 (p + 1),
+    so |q| <= 2^22 if p > 2^23).  For |x| <= 2^52 + 2^47, the chunk's final
+    -2^15 x - (s_lo product) + c, q is off by 1.04/p: |x| <= (p + 1) // 2 after."""
+    t = np.multiply(x, 1 / p, out=t)
+    np.rint(t, out=t)
+    x -= np.multiply(t, p, out=t)
+    return x
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p, exact, for int64 operands reduced mod p < 2^31.
+def _scratch(shape: tuple[int, int]) -> np.ndarray:
+    """A (3, *shape) float64 array, which this thread's next call reuses."""
+    if getattr(_local, "pool", np.empty(0)).size < 3 * shape[0] * shape[1]:
+        _local.pool = np.empty(3 * shape[0] * shape[1])
+    return _local.pool[: 3 * shape[0] * shape[1]].reshape(3, *shape)
 
-    Both operands are taken to balanced residues, of absolute value at most
-    p // 2 < 2^30.  The one with fewer entries, s, is split as
-    s = 2^15 s_hi + s_lo with |s_hi| <= 2^15 and 0 <= s_lo < 2^15; the other
-    one, u, stays whole.  The inner dimension is walked in chunks of 256:
-    there the two float64 products of u with s_hi and with s_lo have every
-    partial sum below 2^30 2^15 256 = 2^53, so they are exact.  Each chunk's
-    products are added into int64 accumulators hi and lo, which are reduced
-    every 512 chunks (512 2^53 = 2^62, so int64 never overflows); the result
-    is (hi mod p) 2^15 + lo, reduced once.  The contract is exactness below
-    inner dimension 2^19; a wider product raises ``ValueError``.
-    """
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = None) -> np.ndarray:
+    """(a @ b) % p for int64 ``a``, ``b`` in [0, p); or, given ``c``, c -= a @ b
+    in place on float64 balanced residues (all three at most (p + 1) // 2 in
+    absolute value), returning c.  Inner dimension 2^19 raises ``ValueError``."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     k = a.shape[1]
     if k >= 1 << 19:
         raise ValueError("inner dimension too large for exact float64 products")
     if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64) if c is None else c
+    if c is None:
+        a, b = _reduce(a.astype(np.float64), p), _reduce(b.astype(np.float64), p)
     split_a = a.size <= b.size
-    u = _balanced(b if split_a else a, p)
-    s = _balanced(a if split_a else b, p)
-    s_hi = np.floor(s * 2.0**-15)
+    u, s = (b, a) if split_a else (a, b)
+    s_hi = np.rint(s * 2.0**-15)
     s_lo = s - s_hi * 2.0**15
-    buf = np.empty((a.shape[0], b.shape[1]))
-    hi = np.empty(buf.shape, dtype=np.int64)
-    lo = np.empty(buf.shape, dtype=np.int64)
-    for c, start in enumerate(range(0, k, _CHUNK)):
-        cols = slice(start, start + _CHUNK)
+
+    def product(part: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
+        left, right = (part[:, cols], u[cols]) if split_a else (u[:, cols], part[cols])
+        return np.matmul(left, right, out=out)
+
+    shape = (a.shape[0], b.shape[1])
+    x, t, y = _scratch(shape) if c is not None else (np.empty(shape) for _ in range(3))
+    if k <= _CHUNK and c is not None:
+        _reduce(product(s_hi, slice(None), x), p, t)
+        product(s_lo, slice(None), t)
+        x *= -(2.0**15)
+        x -= t
+        c += x
+        return _reduce(c, p, x)
+    hi, lo = t.view(np.int64), y.view(np.int64)
+    for i, start in enumerate(range(0, k, _CHUNK)):
         for part, acc in ((s_hi, hi), (s_lo, lo)):
-            if split_a:
-                np.matmul(part[:, cols], u[cols], out=buf)
+            product(part, slice(start, start + _CHUNK), x)
+            if i:
+                np.add(acc, x, out=acc, dtype=np.int64, casting="unsafe")
             else:
-                np.matmul(u[:, cols], part[cols], out=buf)
-            if c:
-                np.add(acc, buf, out=acc, dtype=np.int64, casting="unsafe")
-            else:
-                np.copyto(acc, buf, casting="unsafe")
-        if c % _FLUSH == _FLUSH - 1:
+                np.copyto(acc, x, casting="unsafe")
+        if i % _FLUSH == _FLUSH - 1:
             _mod(hi, p)
             _mod(lo, p)
     _mod(hi, p)
     hi <<= 15
     hi += lo
-    return _mod(hi, p)
+    _mod(hi, p)
+    if c is None:
+        return hi
+    c -= hi
+    return _reduce(c, p, x)
 
 
 class RowReducer:
     """Incremental RREF basis over F_p; feed row blocks, read off the rank.
 
-    The basis is stored compactly as ``(pivots, free, rest)``: row i is the
+    The basis is ``(pivots, free, rest)``: row i, in the order found, is the
     unit vector at column ``pivots[i]`` plus ``rest[i]`` on ``free``, the
-    sorted non-pivot columns.  Pivot columns of an RREF are unit vectors, so
-    they are never stored, and rows stay in the order they were found.
-    Incoming rows are copied into one ``(block, ncols)`` buffer, which is
-    eliminated each time it fills, so feeding many small row groups stays
-    cheap.  Reading :attr:`rank` flushes the buffer.
+    sorted non-pivot columns.  Rows are queued, as balanced residues, in one
+    ``(block, ncols)`` buffer, eliminated each time it fills, so feeding many
+    small row groups stays cheap.  Reading :attr:`rank` flushes the buffer.
     """
 
     def __init__(self, ncols: int, p: int, block: int = 256):
@@ -132,8 +138,8 @@ class RowReducer:
         self.block = block
         self._pivots = np.zeros(0, dtype=np.intp)
         self._free = np.arange(ncols)
-        self._rest = np.zeros((0, ncols), dtype=np.int64)
-        self._buf = np.empty((block, ncols), dtype=np.int64)
+        self._rest = np.zeros((0, ncols))
+        self._buf = np.empty((block, ncols))
         self._fill = 0
 
     @property
@@ -145,25 +151,24 @@ class RowReducer:
         return len(self._pivots) == self.ncols
 
     def add_rows(self, rows: np.ndarray) -> int:
-        """Queue a block of rows and return the exact rank so far (flushes
-        the queue).  Once the rank reaches the column count further rows are
-        discarded."""
+        """Queue rows and return the exact rank so far (flushes the queue);
+        once the rank reaches the column count, further rows are discarded."""
         self.queue_rows(rows)
         return self.rank
 
     def queue_rows(self, rows: np.ndarray) -> None:
-        """Queue rows without forcing a flush (cheap for tiny groups);
-        elimination happens in blocks of ``self.block`` rows."""
+        """Queue integer rows; elimination runs in blocks of ``self.block`` rows."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.ncols:
             raise ValueError(f"expected (k, {self.ncols}) rows, got {rows.shape}")
+        if rows.size and not (-(2**52) <= rows.min() and rows.max() <= 2**52):
+            rows = _mod(rows.copy(), self.p)
         start = 0
         while start < rows.shape[0] and not self.saturated():
             take = min(self.block - self._fill, rows.shape[0] - start)
             end = self._fill + take
-            dst = self._buf[self._fill : end]
-            dst[...] = rows[start : start + take]
-            _mod(dst, self.p)
+            np.copyto(self._buf[self._fill : end], rows[start : start + take], casting="unsafe")
+            _reduce(self._buf[self._fill : end], self.p)
             self._fill, start = end, start + take
             if self._fill == self.block:
                 self.flush()
@@ -187,51 +192,46 @@ def _extend(
     rowspace(blk), given the basis in that form; new rows go below the old."""
     red = blk[:, free]
     if len(pivots):
-        red -= matmul_mod(blk[:, pivots], rest, p)
-        red += (red >> 63) & p
+        matmul_mod(blk[:, pivots], rest, p, c=red)
     new_piv, keep, new = _rref(red, p)
     if not new_piv.size:
         return pivots, free, rest
     k = len(pivots)
-    out = np.empty((k + new.shape[0], keep.size), dtype=np.int64)
+    out = np.empty((k + new.shape[0], keep.size))
     out[k:] = new
     if k:
-        old = out[:k]
-        np.take(rest, keep, axis=1, out=old)
-        old -= matmul_mod(rest[:, new_piv], new, p)
-        old += (old >> 63) & p
+        matmul_mod(rest[:, new_piv], new, p, c=np.take(rest, keep, axis=1, out=out[:k]))
     return np.concatenate([pivots, free[new_piv]]), free[keep], out
 
 
 def _rref(red: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact RREF of ``red``, which it overwrites: the top half's RREF, the
+    """Compact RREF of ``red``: the window, else the top half's RREF with the
     bottom half absorbed into it, down to row-by-row base cases."""
     b, n = red.shape
+    w = max(b, _WINDOW)
+    if n > 2 * w:
+        # RREF of [red[:, :w] | I_b].  If its b pivots lie in the window, I_b
+        # became the transform T, and T red[:, w:] = red[:, w:] - (I - T) red[:, w:].
+        cols, keep, t = _rref(np.hstack([red[:, :w], np.eye(b)]), p)
+        if (cols < w).all():
+            rest = np.hstack([t[:, : w - b], red[:, w:]])
+            matmul_mod(_reduce(np.eye(b) - t[:, w - b :], p), red[:, w:], p, c=rest[:, w - b :])
+            return cols, np.concatenate([keep[: w - b], np.arange(w, n)]), rest
     if b > _BASE_ROWS:
         return _extend(*_rref(red[: b // 2], p), red[b // 2 :], p)
-    if n > 2 * _WINDOW:
-        # Eliminate [first _WINDOW columns | I_b] only.  If the window holds b
-        # pivots, the transform accumulated in its identity part reduces the
-        # remaining columns with one product.
-        win = np.hstack([red[:, :_WINDOW], np.eye(b, dtype=np.int64)])
-        _, cols = _row_loop(win, _WINDOW, p)
-        if len(cols) == b:
-            keep = np.delete(np.arange(n), cols)
-            rest = matmul_mod(win[:, _WINDOW:], red[:, _WINDOW:], p)
-            rest = np.hstack([win[:, keep[: _WINDOW - b]], rest])
-            return np.array(cols, dtype=np.intp), keep, rest
-    rows, cols = _row_loop(red, n, p)
+    a = red.astype(np.int64)
+    rows, cols = _row_loop(a, p)
     keep = np.delete(np.arange(n), cols)
-    return np.array(cols, dtype=np.intp), keep, red[np.ix_(rows, keep)]
+    return np.array(cols, dtype=np.intp), keep, _reduce(a[np.ix_(rows, keep)].astype(np.float64), p)
 
 
-def _row_loop(a: np.ndarray, width: int, p: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan on ``a`` in place, pivots sought in its first ``width``
-    columns; returns the rows that got a pivot and their pivot columns."""
+def _row_loop(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on int64 ``a`` in place (residues, balanced or not, in
+    [0, p) after); returns the rows that got a pivot and their pivot columns."""
     rows: list[int] = []
     cols: list[int] = []
     for i in range(a.shape[0]):
-        nz = np.flatnonzero(a[i, :width])
+        nz = np.flatnonzero(a[i])
         if nz.size:
             j = int(nz[0])
             row = a[i]

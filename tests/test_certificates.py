@@ -451,8 +451,26 @@ def test_verify_stops_each_leaf_at_its_first_ceiling_trial(trial_calls):
     cert = certificate_from_json(json.dumps(data))
     trial_calls.clear()
     assert verify(cert).accepted
-    # one trial per leaf, not the stamped three
-    assert [(s, t) for s, _, _, t in trial_calls] == [("L(r=3,d=3; 2^5)", 0)] * 2
+    # one trial, not the stamped three; the twins share one re-run
+    assert [(s, t) for s, _, _, t in trial_calls] == [("L(r=3,d=3; 2^5)", 0)]
+
+
+def test_verify_reruns_each_system_and_stamp_once(trial_calls):
+    """The twin leaves share a (system, stamp) and so one re-run; a leaf
+    whose stamp differs gets a re-run of its own, and both are checked."""
+    data, leaves = _twin_leaf_certificate()
+    trial_calls.clear()
+    assert verify(certificate_from_json(json.dumps(data))).accepted
+    assert len(trial_calls) == 1
+    leaves[1]["oracle"]["seed"] += 1
+    trial_calls.clear()
+    assert verify(certificate_from_json(json.dumps(data))).accepted
+    assert sorted(seed for _, _, seed, _ in trial_calls) == sorted(
+        leaf["oracle"]["seed"] for leaf in leaves
+    )
+    leaves[1]["oracle"]["trials"] = 0
+    res = verify(certificate_from_json(json.dumps(data)))
+    assert not res.accepted and "trials" in res.reason
 
 
 @pytest.mark.parametrize("prime", [2**31 - 3, 7])  # composite; too small for d = 3

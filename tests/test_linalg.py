@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from fatpoints.linalg import (
     _WINDOW,
     RowReducer,
     _mod,
+    _reduce,
     matmul_mod,
     rank_mod_p,
     rank_mod_p_naive,
@@ -37,9 +41,12 @@ def test_rank_matches_naive(data):
 def _check_basis(red: RowReducer, a: np.ndarray, want: int, p: int) -> None:
     """Rebuild the k x n RREF that the reducer's compact (pivots, free, rest)
     stands for: ``want`` rows, identity on the pivot columns, spanning ``a``;
-    its stored entries are residues in [0, p), as the products require."""
+    its stored entries are integer-valued float64 balanced residues, of
+    absolute value at most (p + 1) // 2, as the products require."""
     pivots, free = red._pivots, red._free
-    assert ((red._rest >= 0) & (red._rest < p)).all()
+    assert red._rest.dtype == np.float64
+    assert (red._rest == np.rint(red._rest)).all()
+    assert (np.abs(red._rest) <= (p + 1) // 2).all()
     assert (np.sort(np.concatenate([pivots, free])) == np.arange(red.ncols)).all()
     assert (np.diff(free) > 0).all()
     basis = np.zeros((len(pivots), red.ncols), dtype=np.int64)
@@ -113,17 +120,22 @@ def test_windowed_base_case_matches_naive(data):
 
 @pytest.mark.parametrize(
     "kind, loops",
-    [("random", [_WINDOW]), ("zero_window", [_WINDOW, 200]), ("unit", [_WINDOW, 200])],
+    [
+        ("random", [_WINDOW + 16]),
+        ("zero_window", [_WINDOW + 16, 200]),
+        ("unit", [_WINDOW + 16, 200]),
+    ],
 )
 def test_base_case_path(monkeypatch, kind, loops):
     """One 16-row block on 200 columns: full-rank random rows finish in the
-    window; rows with fewer than 16 pivots there take the full-width loop."""
+    window [first _WINDOW columns | I_16]; rows with fewer than 16 pivots
+    there take the full-width loop."""
     widths = []
     row_loop = linalg._row_loop
 
-    def spy(a, width, p):
-        widths.append(width)
-        return row_loop(a, width, p)
+    def spy(a, p):
+        widths.append(a.shape[1])
+        return row_loop(a, p)
 
     monkeypatch.setattr(linalg, "_row_loop", spy)
     p = 97
@@ -169,13 +181,87 @@ def test_matmul_mod_exact_at_balanced_extremes(p, k, m, n):
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
 def test_matmul_mod_exact_at_largest_entries(p):
-    """Every entry p - 1 with inner dimension 2048: the largest partial
-    products a prime below 2^31 can give at that width."""
+    """Every entry p - 1, the balanced residue -1, at inner dimension 2048:
+    eight chunks summed in int64, with one column unlike the others.  The
+    largest chunk products come from the balanced extremes, tested above."""
     a = np.full((3, 2048), p - 1, dtype=np.int64)
     b = np.full((2048, 5), p - 1, dtype=np.int64)
     b[::7, 1] = 0  # one column unlike the others
     exact = (a.astype(object) @ b.astype(object)) % p
     assert (matmul_mod(a, b, p) == exact.astype(np.int64)).all()
+
+
+KERNEL_PRIMES = [2, 97, 2147483629, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_reduce_next_to_half_multiples(p):
+    """Integers next to (q + 1/2) p, where rint(x (1/p)) may round either
+    way, and next to multiples of p.  Up to 2^52 + 2^47 (the kernel's last
+    reduction) the result is congruent to x and at most (p + 1) // 2 in
+    absolute value; up to 2^22 (p + 1) (a chunk's s_hi product) at most
+    p / 2 + 2."""
+    for top, bound in ((2**52 + 2**47, (p + 1) // 2), (2**22 * (p + 1), p // 2 + 2)):
+        qs = {0, 1, 2, 7, top // p // 3, top // p - 1, top // p}
+        xs = {q * p + p // 2 + d for q in qs for d in range(-3, 5)}
+        xs |= {q * p + d for q in qs for d in (-1, 0, 1)}
+        xs = sorted(x for x in xs | {top} if 0 <= x <= top)
+        x = np.array(xs + [-v for v in xs], dtype=np.float64)
+        assert [int(v) for v in x] == xs + [-v for v in xs]  # all exact in float64
+        got = _reduce(x.copy(), p)
+        assert all(int(g) == g and (int(g) - int(v)) % p == 0 for g, v in zip(got, x))
+        assert np.abs(got).max() <= bound
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("k", [255, 256, 257, 511, 512, 513])
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3)])
+def test_matmul_mod_exact_next_to_chunk_widths(p, k, m, n):
+    """Inner widths on both sides of one 256-wide chunk and of two.  The
+    int64 contract at p // 2, p // 2 + 1 and p - 1; in place on balanced
+    residues at +-(p // 2) and +-((p + 1) // 2), the bound of the stored
+    entries.  A row of a and a column of b all at the bound make one
+    chunk's s_hi product 256 2^30 2^15 = 2^53 at p = 2^31 - 1; a row and a
+    column at 2^30 - 2^15 - 1 (s_hi = 2^15 - 1) give odd sums that one more
+    column in a chunk would push past 2^53.  (3, 4) splits a, (4, 3) b."""
+    rng = np.random.default_rng([p % 1000, k, m])
+    h, top = p // 2, (p + 1) // 2
+
+    def exact(a, b, c=0):
+        return (c - a.astype(object) @ b.astype(object)) % p
+
+    a = rng.choice([h, h + 1, p - 1], (m, k)) % p
+    b = rng.choice([h, h + 1, p - 1], (k, n)) % p
+    assert (matmul_mod(a, b, p) == -exact(a, b) % p).all()
+    values = np.array([h, -h, top, -top], dtype=np.float64)
+    a, b, c = (rng.choice(values, shape) for shape in ((m, k), (k, n), (m, n)))
+    odd = 2**30 - 2**15 - 1 if p > 2**30 else h
+    a[0], a[1], b[:, 0], b[:, 1], b[:, 2] = top, odd, top, -top, odd
+    want = exact(a.astype(np.int64), b.astype(np.int64), c.astype(np.int64))
+    got = matmul_mod(a, b, p, c=c)
+    assert got is c and (np.rint(got) == got).all() and np.abs(got).max() <= top
+    assert ((got.astype(np.int64) - want) % p == 0).all()
+
+
+def test_window_at_every_level_matches_base_case_windows():
+    """A 256-row block on 600 columns tries its 256-column window at every
+    halving level; blocks of 16 try only base-case windows.  The RREF of a
+    row space is unique, so both must store the same rows, whether the
+    windows hold all their pivots, some or none."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(18)
+    full = rng.integers(0, p, (300, 600))
+    thin = matmul_mod(rng.integers(0, p, (300, 200)), rng.integers(0, p, (200, 600)), p)
+    some = np.hstack([thin[:, :256], full[:, 256:]])
+    none = full * (np.arange(600) >= 300)
+    for a, want in ((full, 300), (thin, 200), (some, 300), (none, 300)):
+        rrefs = []
+        for block in (256, 16):
+            red = RowReducer(600, p, block=block)
+            assert red.add_rows(a) == want
+            order = np.argsort(red._pivots)
+            rrefs.append((red._pivots[order], red._free, red._rest[order] % p))
+        assert all((x == y).all() for x, y in zip(*rrefs))
 
 
 def test_matmul_mod_exact_at_inner_dimension_bound():
@@ -223,6 +309,44 @@ def test_mod_matches_remainder(data):
     wide = np.tile(np.array(values, dtype=np.int64), (2, reps)).T  # also a strided view
     assert _mod(wide, p) is wide
     assert (wide == np.tile(want, reps)[:, None]).all()
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_queued_rows_become_balanced_residues(p):
+    """Rows are converted once, when queued: int64 entries of any size, past
+    2^52 too, become float64 residues of absolute value at most (p + 1) // 2."""
+    big = [2**52, 2**52 + 1, 2**63 - 1, -(2**63)]
+    rows = np.array([[0, 1, p - 1, p // 2, p // 2 + 1, -1, -p, *big]])
+    red = RowReducer(rows.shape[1], p, block=4)
+    red.queue_rows(rows)
+    got = red._buf[: red._fill]
+    assert red._fill == 1 and got.dtype == np.float64 and np.abs(got).max() <= (p + 1) // 2
+    assert ((got.astype(np.int64).astype(object) - rows.astype(object)) % p == 0).all()
+    assert red.rank == rank_mod_p_naive(rows, p)
+
+
+def test_threads_keep_their_own_scratch():
+    """The in-place products reuse per-thread scratch: reducers running in
+    more threads than cores, with a short switch interval, must each find
+    the serial RREF."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    mats = [rng.integers(0, p, (300, 600)) for _ in range(4)]
+
+    def rref(a):
+        red = RowReducer(600, p)
+        red.add_rows(a)
+        return red._pivots, red._rest % p
+
+    want = [rref(a) for a in mats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(rref, mats * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all((g[0] == w[0]).all() and (g[1] == w[1]).all() for g, w in zip(got, want * 2))
 
 
 def test_identity_block_rank():
