@@ -254,26 +254,3 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     red = RowReducer(matrix.shape[1], p)
     return red.add_rows(matrix)
 
-
-def rank_mod_p_naive(matrix: np.ndarray, p: int) -> int:
-    """Straightforward row elimination; reference oracle for the fast path."""
-    a = [[int(x) % p for x in row] for row in np.atleast_2d(matrix)]
-    if not a or not a[0]:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank

@@ -2,9 +2,10 @@
 
 A system L_{r,d}(...) is the kernel of the interpolation matrix whose columns
 are the degree-d monomials in r+1 variables and whose rows are the linear
-functionals imposed by the base conditions (partial derivatives at points,
-monomial filters or sampled derivative rows along subspaces).  We evaluate
-the rows at random positions over a large prime field and compute the exact
+functionals imposed by the base conditions: partial derivatives at points,
+and along a subspace, partial derivatives at points sampled on it.  Each
+trial places the points at random over a large prime field and each
+subspace at the row space of a random [I | R], then computes the exact
 rank.  By semicontinuity every random placement gives a dimension >= the
 general-position dimension, so the minimum over independent trials is a
 sound upper bound that equals the true value except on a vanishing fraction
@@ -22,8 +23,8 @@ from typing import Iterator
 import numpy as np
 
 from .combinatorics import binom, expected_dim
-from .errors import BudgetError
-from .linalg import MAX_PRIME, RowReducer, _mod, matmul_mod, rank_mod_p_naive
+from .errors import BudgetError, FatpointsError
+from .linalg import MAX_PRIME, RowReducer, _mod, matmul_mod
 from .systems import LinearSystem
 
 DEFAULT_PRIME = 2**31 - 1
@@ -116,8 +117,6 @@ def monomial_exponents(r: int, d: int) -> np.ndarray:
         for i in head:
             e[i] += 1
         rows.append(e)
-    if not rows:
-        rows = [[0] * (r + 1)]
     out = np.array(sorted(rows, reverse=True), dtype=np.int64)
     out.setflags(write=False)
     return out
@@ -194,9 +193,10 @@ def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndar
 
 
 def subspace_filter_rows(r: int, d: int, codim: int, m: int) -> np.ndarray:
-    """Axis-aligned fast path: unit rows killing every monomial of degree
-    < m in the last ``codim`` coordinates (vanishing to order m along
-    {x_{r-codim+1} = ... = x_r = 0})."""
+    """Exact conditions of vanishing to order m along the coordinate subspace
+    {x_{r-codim+1} = ... = x_r = 0}: unit rows killing every monomial of
+    degree < m in the last ``codim`` coordinates.  A reference for the
+    sampled rows of ``rows_for_subspace``; trials do not use it."""
     exps = monomial_exponents(r, d)
     normal_deg = exps[:, r - codim + 1 :].sum(axis=1)
     idx = np.nonzero(normal_deg < m)[0]
@@ -219,8 +219,8 @@ def rows_for_subspace(
     p: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """General-position path: derivative rows of order <= m-1 at
-    C(s+d, s) points sampled uniformly on the subspace spanned by ``basis``."""
+    """Derivative rows of order <= m-1 at C(s+d, s) points sampled uniformly
+    on the subspace spanned by the full-rank ``basis``."""
     basis = np.asarray(basis, dtype=np.int64) % p
     n_samples = subspace_sample_count(r, d, r + 1 - basis.shape[0])
     return rows_for_point(r, d, _sample_on_span(basis, n_samples, p, rng), m, p)
@@ -229,34 +229,21 @@ def rows_for_subspace(
 def _sample_nonzero(rng: np.random.Generator, shape: tuple[int, int], p: int) -> np.ndarray:
     for _ in range(8):
         a = rng.integers(0, p, size=shape, dtype=np.int64)
-        bad = ~a.any(axis=1)
-        if not bad.any():
+        if a.any(axis=1).all():
             return a
-    raise RuntimeError("degenerate sampling: could not draw nonzero vectors")
+    raise FatpointsError("degenerate sampling: could not draw nonzero vectors")
 
 
 def _sample_on_span(basis: np.ndarray, k: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    coeffs = _sample_nonzero(rng, (k, basis.shape[0]), p)
-    pts = matmul_mod(coeffs, basis, p)
-    if not pts.any(axis=1).all():
-        raise RuntimeError("degenerate sampling: zero point on subspace")
-    return pts
+    return matmul_mod(_sample_nonzero(rng, (k, basis.shape[0]), p), basis, p)
 
 
 def _random_subspace(r: int, codim: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Basis [I_{s+1} | R], s = r - codim, R uniform over F_p: of full rank by
+    construction, and uniform on a dense open chart of the Grassmannian."""
     s = r - codim
-    for _ in range(8):
-        b = rng.integers(0, p, size=(s + 1, r + 1), dtype=np.int64)
-        if rank_mod_p_naive(b, p) == s + 1:
-            return b
-    raise RuntimeError("degenerate sampling: could not draw a full-rank subspace basis")
-
-
-def _axis_subspace(r: int, codim: int) -> np.ndarray:
-    b = np.zeros((r - codim + 1, r + 1), dtype=np.int64)
-    for i in range(r - codim + 1):
-        b[i, i] = 1
-    return b
+    free = rng.integers(0, p, size=(s + 1, codim), dtype=np.int64)
+    return np.hstack([np.eye(s + 1, dtype=np.int64), free])
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +267,23 @@ def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSe
 def _row_blocks(sys: LinearSystem, cfg: FieldConfig, trial: int) -> Iterator[np.ndarray]:
     """Row blocks of one trial's placement in canonical condition order, lazily.
 
-    A lone subspace sits on coordinate axes (any one subspace is general);
-    several are sampled.  A point group draws at most C(r+d, r) points: once
+    Every subspace is drawn by ``_random_subspace`` and gets the derivative
+    rows of ``rows_for_subspace``.  Each such row is a condition implied by
+    vanishing along the drawn subspace, so a trial still bounds the
+    dimension from above, and a trial at the ceiling still proves it.  A
+    subspace of multiplicity 1, the only kind the prover emits, gets
+    C(s+d, s) rows, as many as its exact conditions (``subspace_filter_rows``
+    on coordinate axes).  A point group draws at most C(r+d, r) points: once
     a group's next general point adds no rank, no later one does, so more
     points cannot raise the rank.
     """
     r, d, p = sys.r, sys.d, cfg.prime
     rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
-    axis = len(sys.subspaces) == 1
     cap = sys.monomial_count()
     bases: dict[str, np.ndarray] = {}
     for sub in sys.subspaces:
-        if axis:
-            bases[sub.subspace_id] = _axis_subspace(r, sub.codim)
-            yield subspace_filter_rows(r, d, sub.codim, sub.multiplicity)
-        else:
-            bases[sub.subspace_id] = _random_subspace(r, sub.codim, p, rng)
-            yield rows_for_subspace(r, d, bases[sub.subspace_id], sub.multiplicity, p, rng)
+        bases[sub.subspace_id] = _random_subspace(r, sub.codim, p, rng)
+        yield rows_for_subspace(r, d, bases[sub.subspace_id], sub.multiplicity, p, rng)
     for cond in sys.points_on_subspaces:
         pts = _sample_on_span(bases[cond.subspace_id], min(cond.count, cap), p, rng)
         yield from _point_chunks(r, d, pts, cond.multiplicity, p)
@@ -331,9 +318,7 @@ def _check_budget(sys: LinearSystem, cfg: FieldConfig) -> None:
         raise BudgetError(
             f"{sys} needs {ncols} columns, budget is {cfg.max_columns}"
         )
-    max_mult = max(
-        [c.multiplicity for c in sys.conditions] + [1],
-    )
+    max_mult = max((c.multiplicity for c in sys.conditions), default=1)
     if cfg.prime <= 2 * max(sys.d, 1) * max_mult:
         raise ValueError("prime too small for the derivative coefficients")
 

@@ -509,7 +509,7 @@ def test_verify_reruns_each_leaf_under_its_stamp_alone(cfg, monkeypatch):
                                      seed=n.oracle.seed, max_columns=4000))
         for n in leaves
     }
-    # one lone subspace (on coordinate axes) and two and three (sampled)
+    # systems with one, two and three subspaces, each sampled
     assert {len(s.subspaces) for s, _ in calls} == {1, 2, 3}
 
 

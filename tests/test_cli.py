@@ -99,6 +99,29 @@ def test_verify_tampered_exit_one(tmp_path, capsys):
     assert code == EXIT_REJECT and "Reject" in err
 
 
+# at p = 3 and this seed, each of the 8 draws of trial 0's two points of
+# L(r=1,d=1; 1^2) holds a zero vector, so the trial cannot be placed
+DEGENERATE = ("L(r=1,d=1; 1^2)", {"prime": 3, "seed": 107852, "trials": 1})
+
+
+def test_dim_degenerate_sampling_exit_two(capsys):
+    text, stamp = DEGENERATE
+    code, _, err = run(capsys, "dim", "--prime", "3", "--trials", "1", "--seed",
+                       str(stamp["seed"]), text)
+    assert code == EXIT_USAGE and err.startswith("error: degenerate sampling")
+
+
+def test_verify_degenerate_stamp_rejected(tmp_path, capsys):
+    text, stamp = DEGENERATE
+    leaf = {"version": 1, "claim": {"system": text, "assert": "empty", "value": None},
+            "rule": "ORACLE", "params": {}, "side_conditions": [], "children": [],
+            "oracle": stamp}
+    cert = tmp_path / "hostile.json"
+    cert.write_text(json.dumps(leaf))
+    code, _, err = run(capsys, "verify", str(cert))
+    assert code == EXIT_REJECT and "Reject" in err and "degenerate sampling" in err
+
+
 def test_verify_malformed_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "rule": "TABLE"}')

@@ -14,12 +14,35 @@ from fatpoints.linalg import (
     _reduce,
     matmul_mod,
     rank_mod_p,
-    rank_mod_p_naive,
 )
 
 # 2097143 is the largest prime below 2^21; 2147483629 is the largest prime
 # below 2^31 - 1 and not a Mersenne prime, so no 2^31 - 1 shortcut passes.
 PRIMES = [2, 97, 1000003, 2097143, 2147483629, 2**31 - 1]
+
+
+def rank_mod_p_naive(matrix: np.ndarray, p: int) -> int:
+    """Gauss-Jordan elimination with Python ints: the reference for ``RowReducer``."""
+    a = [[int(x) % p for x in row] for row in np.atleast_2d(matrix)]
+    if not a or not a[0]:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
 
 
 @given(st.data())

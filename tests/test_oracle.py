@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -54,13 +55,6 @@ def test_rows_for_point_counts():
         rows_for_point(3, 6, pts, 3, P)
 
 
-def _falling(e, a):
-    out = 1
-    for j in range(a):
-        out *= e - j
-    return out
-
-
 def _rows_reference(r, d, point, m, p):
     """Derivative rows at one point with Python ints, in the affine chart: the
     row of alpha is prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i) over the
@@ -80,19 +74,20 @@ def _rows_reference(r, d, point, m, p):
         for e in monomial_exponents(r, d).tolist():
             v = 1
             for i, a in zip(others, alpha):
-                v *= _falling(e[i], a) * (x[i] ** (e[i] - a) if e[i] >= a else 0)
+                v *= math.perm(e[i], a) * (x[i] ** (e[i] - a) if e[i] >= a else 0)
             row.append(v % p)
         rows.append(row)
     return rows
 
 
 def _homogeneous_entry(e, alpha, x, p):
-    """D^alpha x^e at the point x: prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i)."""
+    """D^alpha x^e at the point x: prod_i falling(e_i, alpha_i) x_i^(e_i - alpha_i),
+    where falling(e, a) = e (e-1) ... (e-a+1) = perm(e, a)."""
     v = 1
     for ei, ai, xi in zip(e, alpha, x):
         if ei < ai:
             return 0
-        v *= _falling(ei, ai) * pow(int(xi), ei - ai, p)
+        v *= math.perm(ei, ai) * pow(int(xi), ei - ai, p)
     return v % p
 
 
@@ -114,6 +109,11 @@ def _next_prime(n):
     return n
 
 
+# entries the Python references may compute per example: k points cost about
+# k C(r+j, r) C(r+d, r), j = min(m-1, d), so k is capped where that is large
+_REFERENCE_ENTRIES = 20_000
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_batched_rows_match_python_reference(data):
@@ -121,7 +121,8 @@ def test_batched_rows_match_python_reference(data):
     d = data.draw(st.integers(0, 8), label="d")
     m = data.draw(st.integers(1, 4), label="m")
     p = data.draw(st.sampled_from([_next_prime(2 * max(d, 1) * m), 97, P]), label="p")
-    k = data.draw(st.integers(1, 6), label="k")
+    per_point = binom(r + min(m - 1, d), r) * binom(r + d, r)
+    k = data.draw(st.integers(1, max(1, min(6, _REFERENCE_ENTRIES // per_point))), label="k")
     # small coordinates give zeros and ties for the largest one
     coord = st.integers(0, 3) | st.integers(0, p - 1)
     pts = data.draw(
@@ -267,8 +268,8 @@ def test_subspace_dimensions(cfg):
 
 
 def test_axis_and_sampled_paths_agree():
-    # a lone subspace goes on coordinate axes, several are sampled: both row
-    # sets impose the subspace's full condition count
+    # the exact filter rows on coordinate axes and the sampled rows that every
+    # trial uses both impose the subspace's full condition count
     rng = np.random.default_rng(0)
     for r in (5, 6, 7):
         for codim in (3, 4):
@@ -279,6 +280,49 @@ def test_axis_and_sampled_paths_agree():
                     basis = _random_subspace(r, codim, P, rng)
                     sampled = rank_mod_p(rows_for_subspace(r, d, basis, mult, P, rng), P)
                     assert axis == sampled == s.conditions_count(), (r, codim, d, mult)
+
+
+@pytest.mark.parametrize("p", [3, 97, P])
+def test_random_subspace_has_full_rank(p):
+    rng = np.random.default_rng(0)
+    for r in range(1, 9):
+        for codim in range(1, r + 1):
+            basis = _random_subspace(r, codim, p, rng)
+            assert basis.shape == (r - codim + 1, r + 1)
+            assert rank_mod_p(basis, p) == r - codim + 1, (r, codim)
+
+
+# ``fatpoints dim --seed 3 --format json`` of systems with subspaces: every
+# trial's rank is the generic one, so the bytes hold for any general placement
+SUBSPACE_DIM_JSON = {
+    "L(r=7,d=2; {L1:codim3, 2^3 on L1}, 2)":
+        '{"dim": 6, "expected": 3, "per_trial_rank": [29, 29, 29], "prime": 2147483647, '
+        '"seed": 3, "special": true, "system": "L(r=7,d=2; {L1:codim3, 2^3 on L1}, 2)", '
+        '"trials": 3, "virtual": 3}',
+    "L(r=4,d=2; {L1:codim3:mult2}, 2)":
+        '{"dim": 2, "expected": 0, "per_trial_rank": [12, 12, 12], "prime": 2147483647, '
+        '"seed": 3, "special": true, "system": "L(r=4,d=2; {L1:codim3:mult2}, 2)", '
+        '"trials": 3, "virtual": 0}',
+    "L(r=7,d=3; {L1:codim3, 2^5 on L1}, 2^10)":
+        '{"dim": -1, "expected": -1, "per_trial_rank": [120, 120, 120], "prime": 2147483647, '
+        '"seed": 3, "special": false, "system": "L(r=7,d=3; {L1:codim3, 2^5 on L1}, 2^10)", '
+        '"trials": 3, "virtual": -11}',
+    "L(r=6,d=3; {L1:codim3, 2^3 on L1}, {L2:codim3, 2^3 on L2}, 2^3)":
+        '{"dim": 5, "expected": 4, "per_trial_rank": [78, 78, 78], "prime": 2147483647, '
+        '"seed": 3, "special": true, '
+        '"system": "L(r=6,d=3; {L1:codim3, 2^3 on L1}, {L2:codim3, 2^3 on L2}, 2^3)", '
+        '"trials": 3, "virtual": 4}',
+    "L(r=5,d=4; {L1:codim2:mult2}, 2^3)":
+        '{"dim": 32, "expected": 32, "per_trial_rank": [93, 93, 93], "prime": 2147483647, '
+        '"seed": 3, "special": false, "system": "L(r=5,d=4; {L1:codim2:mult2}, 2^3)", '
+        '"trials": 3, "virtual": 32}',
+}
+
+
+@pytest.mark.parametrize("text", sorted(SUBSPACE_DIM_JSON))
+def test_subspace_dim_reports_pinned(text):
+    report = dimension(parse_system(text), FieldConfig(seed=3))
+    assert json.dumps(report.to_dict(), sort_keys=True) == SUBSPACE_DIM_JSON[text]
 
 
 def test_budget_error():
