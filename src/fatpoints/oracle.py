@@ -123,13 +123,16 @@ def monomial_exponents(r: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _derivative_plan(r: int, d: int, m: int, p: int) -> tuple[np.ndarray, ...]:
+def _derivative_plan(
+    r: int, d: int, m: int, p: int, normal: int | None = None
+) -> tuple[np.ndarray, ...]:
     """Gather tables shared by every point of a derivative row block.
 
     With j = min(m-1, d), row alpha (|alpha| = j, in ``monomial_exponents(r,
-    j)`` order) takes D^alpha x^e = falling(e, alpha) x^(e - alpha) on
-    monomial e, that is coef[alpha, e] * V[idx[alpha, e]] for the point's
-    degree-(d-j) monomial vector V.  Returns (exps_t, idx, coef): the
+    j)`` order; given ``normal``, only the alpha supported on the last
+    ``normal`` coordinates) takes D^alpha x^e = falling(e, alpha) x^(e -
+    alpha) on monomial e, that is coef[alpha, e] * V[idx[alpha, e]] for the
+    point's degree-(d-j) monomial vector V.  Returns (exps_t, idx, coef): the
     degree-(d-j) exponents with one row per variable; the rank of e - alpha
     in ``monomial_exponents(r, d - j)``, summed one variable at a time (a
     degree-n exponent f has sum_{i=1..r} C(f_i + ... + f_r + r - i, r - i + 1)
@@ -139,6 +142,8 @@ def _derivative_plan(r: int, d: int, m: int, p: int) -> tuple[np.ndarray, ...]:
     j = min(m - 1, d)
     n = d - j
     alphas = monomial_exponents(r, j)
+    if normal is not None:
+        alphas = alphas[alphas[:, : r + 1 - normal].sum(axis=1) == 0]
     exps_t = monomial_exponents(r, d).T
     falling = np.ones((j + 1, d + 1), dtype=np.int64)
     for a in range(1, j + 1):
@@ -162,7 +167,9 @@ def _derivative_plan(r: int, d: int, m: int, p: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndarray:
+def rows_for_point(
+    r: int, d: int, point: np.ndarray, m: int, p: int, normal: int | None = None
+) -> np.ndarray:
     """Derivative rows of order <= m-1 at projective points over F_p.
 
     ``point`` is one point of shape (r+1,) or k points of shape (k, r+1);
@@ -172,12 +179,14 @@ def rows_for_point(r: int, d: int, point: np.ndarray, m: int, p: int) -> np.ndar
     Euler's formula (d-i) D^beta f = sum_k x_k D_k D^beta f writes each one of
     order i at x through those of order i+1.  When m-1 > d the order-d
     partials are alpha! times the coefficients of f, so the point kills every
-    form and its rows are a scaled identity.
+    form and its rows are a scaled identity.  Given ``normal`` = c, only the
+    order-j partials along the last c coordinates are kept (the rows of
+    ``_subspace_chunks``).
     """
     pts = np.atleast_2d(np.asarray(point, dtype=np.int64) % p)
     if pts.ndim != 2 or pts.shape[1] != r + 1 or not pts.any(axis=1).all():
         raise ValueError("points must be nonzero vectors of length r+1")
-    exps_t, idx, coef = _derivative_plan(r, d, m, p)
+    exps_t, idx, coef = _derivative_plan(r, d, m, p, normal)
     k, n = pts.shape[0], d - min(m - 1, d)
     powers = np.ones((k, r + 1, n + 1), dtype=np.int64)
     for e in range(1, n + 1):
@@ -219,11 +228,32 @@ def rows_for_subspace(
     p: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Derivative rows of order <= m-1 at C(s+d, s) points sampled uniformly
-    on the subspace spanned by the full-rank ``basis``."""
+    """Conditions of vanishing to order m along the row space of ``basis``,
+    a full-rank [I | R] as ``_random_subspace`` draws, at C(s+d, s) points
+    sampled uniformly on it (see ``_subspace_chunks``)."""
     basis = np.asarray(basis, dtype=np.int64) % p
-    n_samples = subspace_sample_count(r, d, r + 1 - basis.shape[0])
-    return rows_for_point(r, d, _sample_on_span(basis, n_samples, p, rng), m, p)
+    codim = r + 1 - basis.shape[0]
+    pts = _sample_on_span(basis, subspace_sample_count(r, d, codim), p, rng)
+    return np.vstack(list(_subspace_chunks(r, d, pts, codim, m, p)))
+
+
+def _subspace_chunks(
+    r: int, d: int, pts: np.ndarray, codim: int, m: int, p: int
+) -> Iterator[np.ndarray]:
+    """Rows of vanishing to order m along the row space L of [I | R], from
+    points ``pts`` sampled on L, in ``_point_chunks``.
+
+    The last ``codim`` coordinate directions complement L: with x = (y',
+    y'R + y''), L is {y'' = 0} and d/dy'' is the partial along those
+    directions.  So f vanishes to order m along L iff for each k < m every
+    order-k partial D^beta f along them restricts to L as the zero form of
+    degree d-k on P^s, which C(s+d-k, s) general points of L detect.  The
+    rows are those partials at the first C(s+d-k, s) points, exactly as many
+    as the subspace's conditions.
+    """
+    s = r - codim
+    for k in range(min(m, d + 1)):
+        yield from _point_chunks(r, d, pts[: binom(s + d - k, s)], k + 1, p, codim)
 
 
 def _sample_nonzero(rng: np.random.Generator, shape: tuple[int, int], p: int) -> np.ndarray:
@@ -267,23 +297,25 @@ def _trial_seed(cfg: FieldConfig, sys_text: str, trial: int) -> np.random.SeedSe
 def _row_blocks(sys: LinearSystem, cfg: FieldConfig, trial: int) -> Iterator[np.ndarray]:
     """Row blocks of one trial's placement in canonical condition order, lazily.
 
-    Every subspace is drawn by ``_random_subspace`` and gets the derivative
-    rows of ``rows_for_subspace``.  Each such row is a condition implied by
-    vanishing along the drawn subspace, so a trial still bounds the
-    dimension from above, and a trial at the ceiling still proves it.  A
-    subspace of multiplicity 1, the only kind the prover emits, gets
-    C(s+d, s) rows, as many as its exact conditions (``subspace_filter_rows``
-    on coordinate axes).  A point group draws at most C(r+d, r) points: once
-    a group's next general point adds no rank, no later one does, so more
-    points cannot raise the rank.
+    Every subspace is drawn by ``_random_subspace`` and gets the rows of
+    ``rows_for_subspace`` in chunks (``_subspace_chunks``).  Each such row
+    is a condition implied by vanishing along the drawn subspace, so a trial
+    still bounds the dimension from above, and a trial at the ceiling still
+    proves it.  There are as many as the subspace's exact conditions
+    (``subspace_filter_rows`` on coordinate axes); at multiplicity 1, the
+    only kind the prover emits, they are the values at C(s+d, s) points.
+    A point group draws at most C(r+d, r) points: once a group's next
+    general point adds no rank, no later one does, so more points cannot
+    raise the rank.
     """
     r, d, p = sys.r, sys.d, cfg.prime
     rng = np.random.default_rng(_trial_seed(cfg, str(sys), trial))
     cap = sys.monomial_count()
     bases: dict[str, np.ndarray] = {}
     for sub in sys.subspaces:
-        bases[sub.subspace_id] = _random_subspace(r, sub.codim, p, rng)
-        yield rows_for_subspace(r, d, bases[sub.subspace_id], sub.multiplicity, p, rng)
+        basis = bases[sub.subspace_id] = _random_subspace(r, sub.codim, p, rng)
+        pts = _sample_on_span(basis, subspace_sample_count(r, d, sub.codim), p, rng)
+        yield from _subspace_chunks(r, d, pts, sub.codim, sub.multiplicity, p)
     for cond in sys.points_on_subspaces:
         pts = _sample_on_span(bases[cond.subspace_id], min(cond.count, cap), p, rng)
         yield from _point_chunks(r, d, pts, cond.multiplicity, p)
@@ -292,11 +324,13 @@ def _row_blocks(sys: LinearSystem, cfg: FieldConfig, trial: int) -> Iterator[np.
         yield from _point_chunks(r, d, pts, cond.multiplicity, p)
 
 
-def _point_chunks(r: int, d: int, pts: np.ndarray, m: int, p: int) -> Iterator[np.ndarray]:
+def _point_chunks(
+    r: int, d: int, pts: np.ndarray, m: int, p: int, normal: int | None = None
+) -> Iterator[np.ndarray]:
     """Derivative rows of ``pts``, at most ``_CHUNK_ROWS`` rows (or one point) per call."""
-    step = max(1, _CHUNK_ROWS // binom(r + min(m - 1, d), r))
+    step = max(1, _CHUNK_ROWS // len(_derivative_plan(r, d, m, p, normal)[1]))
     for i in range(0, len(pts), step):
-        yield rows_for_point(r, d, pts[i : i + step], m, p)
+        yield rows_for_point(r, d, pts[i : i + step], m, p, normal)
 
 
 def condition_matrix(
@@ -318,7 +352,9 @@ def _check_budget(sys: LinearSystem, cfg: FieldConfig) -> None:
         raise BudgetError(
             f"{sys} needs {ncols} columns, budget is {cfg.max_columns}"
         )
-    max_mult = max((c.multiplicity for c in sys.conditions), default=1)
+    max_mult = max(
+        [c.multiplicity for c in sys.conditions] + [1],
+    )
     if cfg.prime <= 2 * max(sys.d, 1) * max_mult:
         raise ValueError("prime too small for the derivative coefficients")
 

@@ -19,8 +19,10 @@ from fatpoints import (
     rank_mod_p,
 )
 from fatpoints.oracle import (
+    _CHUNK_ROWS,
     MAX_TRIALS,
     _random_subspace,
+    _row_blocks,
     monomial_exponents,
     rows_for_point,
     rows_for_subspace,
@@ -269,17 +271,18 @@ def test_subspace_dimensions(cfg):
 
 def test_axis_and_sampled_paths_agree():
     # the exact filter rows on coordinate axes and the sampled rows that every
-    # trial uses both impose the subspace's full condition count
+    # trial uses are both one independent row per condition of the subspace
     rng = np.random.default_rng(0)
     for r in (5, 6, 7):
         for codim in (3, 4):
             for d in (2, 3):
-                for mult in (1, 2):
+                for mult in (1, 2, 3):
                     s = parse_system(f"L(r={r},d={d}; {{L1:codim{codim}:mult{mult}}})")
                     axis = rank_mod_p(subspace_filter_rows(r, d, codim, mult), P)
                     basis = _random_subspace(r, codim, P, rng)
-                    sampled = rank_mod_p(rows_for_subspace(r, d, basis, mult, P, rng), P)
-                    assert axis == sampled == s.conditions_count(), (r, codim, d, mult)
+                    rows = rows_for_subspace(r, d, basis, mult, P, rng)
+                    count = s.conditions_count()
+                    assert axis == rank_mod_p(rows, P) == len(rows) == count, (r, codim, d, mult)
 
 
 @pytest.mark.parametrize("p", [3, 97, P])
@@ -343,17 +346,30 @@ def test_trials_bounded():
 
 
 def test_rows_for_subspace_shape():
+    # one row per condition: 15 values and 3 normal first partials at 5 points
     rng = np.random.default_rng(0)
     basis = np.eye(5, 8, dtype=np.int64)
     rows = rows_for_subspace(7, 2, basis, 2, P, rng)
-    assert rows.shape == (subspace_sample_count(7, 2, 3) * 8, binom(9, 2))
+    count = parse_system("L(r=7,d=2; {L1:codim3:mult2})").conditions_count()
+    assert rows.shape == (count, binom(9, 2)) == (15 + 3 * 5, 36)
+    assert rank_mod_p(rows, P) == count
+
+
+def test_lone_subspace_rows_are_chunked_and_exact():
+    # forms vanishing to order 4 along a hyperplane are h^4 times a quadric:
+    # one row per condition, and no block larger than a chunk
+    sys = parse_system("L(r=4,d=6; {L1:codim1:mult4})")
+    blocks = list(_row_blocks(sys, FieldConfig(), 0))
+    assert max(len(b) for b in blocks) <= _CHUNK_ROWS
+    assert sum(len(b) for b in blocks) == sys.conditions_count() == binom(10, 4) - binom(6, 4)
+    assert dimension(sys).dim == binom(6, 4) - 1
 
 
 def test_point_group_draws_at_most_one_point_per_column():
     huge = 10**12
     sys = parse_system(f"L(r=3,d=2; {{L1:codim1, 2^{huge} on L1}}, 2^{huge})")
     matrix = condition_matrix(sys)
-    # 6 filter rows, then 10 points of 4 rows in each point group
+    # 6 subspace rows (values at 6 points), then 10 points of 4 rows in each point group
     assert matrix.shape == (6 + 2 * 10 * 4, 10)
     assert rank_mod_p(matrix, P) == 10
 
