@@ -3,10 +3,10 @@
 A system L_{r,d}(...) is the kernel of the interpolation matrix whose columns
 are the degree-d monomials in r+1 variables and whose rows are the linear
 functionals imposed by the base conditions: partial derivatives at points,
-and along a subspace, partial derivatives at points sampled on it.  Each
-trial places the points at random over a large prime field and each
-subspace at the row space of a random [I | R], then computes the exact
-rank.  By semicontinuity every random placement gives a dimension >= the
+and along a subspace, its normal partial derivatives at points sampled on
+it.  Each trial places the points at random over a large prime field and
+each subspace at the row space of a random [I | R], then computes the
+exact rank.  By semicontinuity every random placement gives a dimension >= the
 general-position dimension, so the minimum over independent trials is a
 sound upper bound that equals the true value except on a vanishing fraction
 of draws (see README for the failure-probability estimate).
