@@ -15,7 +15,8 @@ premises.
 
 The verifier is independent of the certificate generator: it re-derives
 every side condition and every child system from the claim and the rule
-parameters, evaluates the recorded relations, and re-runs oracle leaves.
+parameters, evaluates the derived relations, compares them with the
+recorded ones, and re-runs oracle leaves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable
 
 from .combinatorics import (
@@ -140,6 +142,12 @@ class ProofNode:
     side_conditions: tuple[SideCondition, ...] = ()
     children: tuple["ProofNode", ...] = ()
     oracle: OracleStamp | None = None
+    #: levels from this node down to its deepest leaf; children exist before
+    #: their parent, so no walk is needed, however deep the tree
+    height: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "height", 1 + max((c.height for c in self.children), default=0))
 
 
 @dataclass(frozen=True)
@@ -220,10 +228,6 @@ def _double_point_shape(s: LinearSystem) -> int:
         f"{s}: rule needs double points only",
     )
     return n
-
-
-def _nodes(r: int, d: int, n: int, simple: int = 0) -> LinearSystem:
-    return LinearSystem.nodes(r, d, n, simple=simple)
 
 
 def _check_table(claim: Claim, params: dict) -> RuleApplication:
@@ -342,8 +346,8 @@ def _check_deg1(claim: Claim, params: dict) -> RuleApplication:
     b = int(params["b"])
     b0, beta = b0_decompose(r, d)
     # b nodes on the exceptional component F, n - b on P
-    cone_kernel = _nodes(r - 1, d, b)
-    l_p, hat_l_p = _nodes(r, d - 1, n - b), _nodes(r, d - 2, n - b)
+    cone_kernel = LinearSystem.nodes(r - 1, d, b)
+    l_p, hat_l_p = LinearSystem.nodes(r, d - 1, n - b), LinearSystem.nodes(r, d - 2, n - b)
     ambient = binom(d + r - 2, r - 1)
     v_p = l_p.virtual_dim()
     dim_r = transversal_intersection_dim(v_p, ambient - 1 - b, ambient)
@@ -372,10 +376,11 @@ def _check_deg2(claim: Claim, params: dict) -> RuleApplication:
     b, beta = int(params["b"]), int(params["beta"])
     b0f, beta0 = b0_decompose(r, d)
     # b nodes on the exceptional F (beta of them in its intersection with P), n - b on P
-    cone_kernel = _nodes(r - 1, d, b - beta)
-    cone_kernel_full = _nodes(r - 1, d, b - beta, simple=beta)
-    hat_l_p0, bar_l_p0 = _nodes(r, d - 2, n - b), _nodes(r, d - 1, n - b + beta)
-    v_p0 = _nodes(r, d - 1, n - b).virtual_dim()
+    cone_kernel = LinearSystem.nodes(r - 1, d, b - beta)
+    cone_kernel_full = LinearSystem.nodes(r - 1, d, b - beta, simple=beta)
+    hat_l_p0 = LinearSystem.nodes(r, d - 2, n - b)
+    bar_l_p0 = LinearSystem.nodes(r, d - 1, n - b + beta)
+    v_p0 = LinearSystem.nodes(r, d - 1, n - b).virtual_dim()
     match_dim = max(v_p0 - r * beta - (b - beta), -1)
     sides = (
         _sc("beta_matches", beta - beta0, "== 0"),
@@ -395,16 +400,23 @@ def _check_deg2(claim: Claim, params: dict) -> RuleApplication:
     )
 
 
+def quartic_rule(r: int) -> str:
+    """The quartic rule name at r: the (1,4) and (1,8) degenerations on P^3
+    and P^4, the general one elsewhere."""
+    return {3: "QUARTIC_R3", 4: "QUARTIC_R4"}.get(r, "QUARTIC_GEN")
+
+
 def _check_quartic_small(claim: Claim, params: dict, rule: str) -> RuleApplication:
     s = claim.system
     n = _double_point_shape(s)
-    r = 3 if rule == "QUARTIC_R3" else 4
-    n_expected = 8 if rule == "QUARTIC_R3" else 13
-    _require(s.r == r and s.d == 4, f"{rule} covers (r, d) = ({r}, 4)")
+    r = s.r
+    # the rule's name ends in the r it covers
+    _require(s.d == 4 and quartic_rule(r) == rule, f"{rule} covers (r, d) = ({rule[-1]}, 4)")
+    n_expected = {3: 8, 4: 13}[r]
     b = int(params["b"])
-    hat_f = _nodes(r - 1, 4, b)
-    l_p = _nodes(r, 3, n - b)
-    hat_p = _nodes(r, 2, n - b)
+    hat_f = LinearSystem.nodes(r - 1, 4, b)
+    l_p = LinearSystem.nodes(r, 3, n - b)
+    hat_p = LinearSystem.nodes(r, 2, n - b)
     ambient = binom(4 + r - 2, r - 1)
     v_p = l_p.virtual_dim()
     v_hat_f = hat_f.virtual_dim()
@@ -431,9 +443,9 @@ def _check_quartic_gen(claim: Claim, params: dict) -> RuleApplication:
     r = s.r
     _require(s.d == 4 and r >= 5, "QUARTIC_GEN covers d = 4, r >= 5")
     b = int(params["b"])
-    hat_f = _nodes(r - 1, 4, b)
-    l_p = _nodes(r, 3, r + 1)
-    hat_p = _nodes(r, 2, r + 1)
+    hat_f = LinearSystem.nodes(r - 1, 4, b)
+    l_p = LinearSystem.nodes(r, 3, r + 1)
+    hat_p = LinearSystem.nodes(r, 2, r + 1)
     base_pts = binom(r + 1, 2)
     l_f = LinearSystem.from_mults(r, 4, [3] + [2] * b)
     dim_r = max(expected_dim(l_f.virtual_dim()) - base_pts, -1)
@@ -613,70 +625,42 @@ class _Reject(Exception):
         self.path = path
 
 
-def _depth_exceeds(root: ProofNode, limit: int) -> bool:
-    """True if the tree has more than ``limit`` levels; iterative, and
-    shared subtrees are walked once per level."""
-    level = {id(root): root}
-    for _ in range(limit):
-        level = {id(c): c for node in level.values() for c in node.children}
-        if not level:
-            return False
-    return True
-
-
 def verify(root: ProofNode, cfg: FieldConfig | None = None) -> VerifyResult:
     """Independently re-check a certificate.
 
-    Recomputes every side condition and re-derives every child system from
-    claim + params, evaluates all recorded relations, and re-runs every
-    oracle leaf under its recorded (prime, seed, trials), stopping at the
-    first trial whose rank reaches min(conditions, columns), as the
-    generator does.  Never calls the generator.  Each node object is
-    checked once: a subtree shared by several parents, as the generator's
-    memo and :func:`certificate_from_json` build them, is checked where it
-    first occurs.  Each distinct (system, stamp) is re-run once, and every
-    oracle leaf on it is checked against that one report: the generator
-    stamps a system the same way whatever its claim, so one system can be
-    an ``empty`` leaf and a ``non_special`` one.  A tree deeper than
-    ``MAX_DEPTH`` levels is rejected before any node is checked.  Oracle
-    re-runs honor ``cfg.max_columns``
-    and may raise :class:`~fatpoints.errors.BudgetError`.
+    Checks each node object once, in one walk, against the rule
+    application derived from its claim and params alone: the derived side
+    conditions hold and equal the recorded ones, the conclusion supports
+    the claim, and each child concerns the derived system and meets its
+    requirement.  Every ORACLE node is re-run under its stamp, stopping at
+    the first trial whose rank reaches min(conditions, columns), as the
+    generator does.  Never calls the generator.  A root taller than
+    ``MAX_DEPTH`` levels is rejected before any node is checked.  Re-runs
+    honor ``cfg.max_columns`` and may raise
+    :class:`~fatpoints.errors.BudgetError`.
     """
     cfg = cfg or FieldConfig()
-    if _depth_exceeds(root, MAX_DEPTH):
+    if root.height > MAX_DEPTH:
         return VerifyResult(False, f"certificate deeper than {MAX_DEPTH} levels", ())
     try:
-        _verify_node(root, (), cfg, set(), {})
+        _verify_node(root, (), cfg, set())
     except _Reject as rej:
         return VerifyResult(False, rej.reason, rej.path)
     return VerifyResult(True)
 
 
 def _check_recorded_sides(recorded: tuple[SideCondition, ...], app: RuleApplication) -> None:
-    if len(app.sides) != len(recorded):
-        raise RuleViolation(
-            f"expected {len(app.sides)} side conditions, found {len(recorded)}"
-        )
-    for got, want in zip(recorded, app.sides):
-        if got.name != want.name or got.relation != want.relation:
+    for got, want in zip_longest(recorded, app.sides):
+        if got != want:
             raise RuleViolation(
-                f"side condition {want.name!r} recorded as {got.name!r} "
-                f"with relation {got.relation!r}"
-            )
-        if got.value != want.value:
-            raise RuleViolation(
-                f"side condition {got.name!r} recorded value {got.value} "
-                f"!= recomputed {want.value}"
+                f"side condition {(want or got).name!r} recorded as {got}, derived as {want}"
             )
 
 
-def _rerun_oracle(node: ProofNode, cfg: FieldConfig, reports: dict) -> None:
+def _rerun_oracle(node: ProofNode, cfg: FieldConfig) -> None:
     if node.oracle is None:
         raise RuleViolation("oracle leaf without a stamp")
-    key = (node.claim.system, node.oracle)
-    if key not in reports:
-        reports[key] = dimension(key[0], node.oracle.run_config(cfg), stop_at_ceiling=True)
-    report = reports[key]
+    report = dimension(node.claim.system, node.oracle.run_config(cfg), stop_at_ceiling=True)
     if report.dim != node.claim.known_dim():
         raise RuleViolation(
             f"oracle re-run found dim {report.dim}, claim needs {node.claim.known_dim()}"
@@ -688,14 +672,13 @@ def _verify_node(
     path: tuple[int, ...],
     cfg: FieldConfig,
     accepted: set[int],
-    reports: dict,
 ) -> None:
     if id(node) in accepted:
         return
     try:
         # re-run first, so a claim the oracle refutes is rejected as refuted
         if node.rule == "ORACLE":
-            _rerun_oracle(node, cfg, reports)
+            _rerun_oracle(node, cfg)
         app = derive_application(node.claim, node.rule, dict(node.params))
         check_application(node.claim, node.rule, app, node.children)
         _check_recorded_sides(node.side_conditions, app)
@@ -705,7 +688,7 @@ def _verify_node(
         where = f"node {'/'.join(map(str, path)) or 'root'} [{node.rule}] {node.claim.describe()}"
         raise _Reject(f"{where}: {exc}", path) from exc
     for i, child in enumerate(node.children):
-        _verify_node(child, path + (i,), cfg, accepted, reports)
+        _verify_node(child, path + (i,), cfg, accepted)
     accepted.add(id(node))
 
 

@@ -32,17 +32,17 @@ from .certificates import (
     ProofNode,
     RuleApplication,
     RuleViolation,
-    _depth_exceeds,
     check_application,
     cubic_rule,
     cubic_track,
     derive_application,
+    quartic_rule,
 )
 from .combinatorics import b0_decompose, gamma_r, n_bounds
 from .errors import FatpointsError
 from .oracle import FieldConfig, derive_seed, dimension
 from .presets import ah3_system
-from .systems import SPORADIC_EXCEPTIONS, LinearSystem, castelnuovo_split, classify
+from .systems import SPORADIC_EXCEPTIONS, LinearSystem, classify
 
 
 class ProveError(FatpointsError):
@@ -126,7 +126,7 @@ class Prover:
             raise ProveError(f"need n >= 0, got {n}")
         root = self._verdict(r, d, n, 0)
         # the memo reuses a subtree built near the root deeper down, past _guard
-        if _depth_exceeds(root, MAX_DEPTH):
+        if root.height > MAX_DEPTH:
             raise ProveError(f"certificate deeper than {MAX_DEPTH} levels, which verify refuses")
         return root
 
@@ -162,12 +162,7 @@ class Prover:
             anchor_n = anchor.claim.system.point_count(2)
             if n == anchor_n:
                 return anchor
-            return self._make(
-                Claim(sys, "non_special"),
-                "MONOTONE_DOWN",
-                {"parent": str(anchor.claim.system)},
-                (anchor,),
-            )
+            return self._monotone_down(sys, anchor)
         if n > nhi:
             return self._with_assertion(self._empty(r, d, n, depth), "non_special")
         if d == 3:
@@ -193,15 +188,12 @@ class Prover:
         sys = LinearSystem.nodes(4, 3, 6)
 
         def build() -> ProofNode:
-            kernel, trace = castelnuovo_split(sys, 5)
+            claim, params = Claim(sys, "non_special"), {"h": 5, "top": False}
+            app = derive_application(claim, "CASTELNUOVO", params)
+            (kernel, _), (trace, _) = app.children
             k_node = self._closed_form(kernel, "quadric", "dim", kernel.virtual_dim())
-            t_node = self._ah3(3, depth)
-            return self._make(
-                Claim(sys, "non_special"),
-                "CASTELNUOVO",
-                {"h": 5, "top": False},
-                (k_node, t_node),
-            )
+            children = (k_node, self._induction(trace, depth))
+            return self._make(claim, "CASTELNUOVO", params, children, app=app)
 
         return self._memoized((str(sys), "verdict"), build)
 
@@ -233,9 +225,9 @@ class Prover:
 
     def _quartic_verdict(self, r: int, n: int, sys: LinearSystem, depth: int) -> ProofNode:
         depth = self._guard(depth)
-        rule = {3: "QUARTIC_R3", 4: "QUARTIC_R4"}.get(r, "QUARTIC_GEN")
         return self._memoized(
-            (str(sys), "verdict"), lambda: self._degenerate(sys, rule, {"b": n - r - 1}, depth)
+            (str(sys), "verdict"),
+            lambda: self._degenerate(sys, quartic_rule(r), {"b": n - r - 1}, depth),
         )
 
     # -- cubics ---------------------------------------------------------------
@@ -245,21 +237,12 @@ class Prover:
         gamma = gamma_r(r)
         nlo, nhi = n_bounds(r, 3)
         if gamma == 0:
-            return self._with_assertion(self._ah3(r, depth), "non_special")
+            return self._with_assertion(self._induction(ah3_system(r), depth), "non_special")
         if n == nlo:
-            ah3 = self._ah3(r, depth)
-            return self._make(
-                Claim(sys, "non_special"),
-                "MONOTONE_DOWN",
-                {"parent": str(ah3.claim.system)},
-                (ah3,),
-            )
+            return self._monotone_down(sys, self._induction(ah3_system(r), depth))
         # n = n^+ = n^- + 1 < n^- + gamma: the only verdicts the subspace
         # induction does not reach; settled by the oracle at desk scale
         return self._oracle_leaf(sys, "non_special")
-
-    def _ah3(self, r: int, depth: int) -> ProofNode:
-        return self._induction(ah3_system(r), depth)
 
     def _induction(self, sys: LinearSystem, depth: int) -> ProofNode:
         """An emptiness goal of the cubic induction: a track node over the
@@ -320,6 +303,14 @@ class Prover:
             return self._empty_up(sys, base)
         raise ProveError(f"{sys}: node count below n^+; emptiness does not hold")
 
+    def _monotone_down(self, sys: LinearSystem, parent: ProofNode) -> ProofNode:
+        return self._make(
+            Claim(sys, "non_special"),
+            "MONOTONE_DOWN",
+            {"parent": str(parent.claim.system)},
+            (parent,),
+        )
+
     def _empty_up(self, sys: LinearSystem, base: ProofNode) -> ProofNode:
         return self._make(
             Claim(sys, "empty"),
@@ -346,10 +337,10 @@ class Prover:
         if gamma == 0:
             if n < nlo:
                 raise ProveError(f"{sys}: not empty")
-            node = self._ah3(r, depth)
+            node = self._induction(ah3_system(r), depth)
             return node if n == nlo else self._empty_up(sys, node)
         if n >= nlo + gamma:
-            return self._empty_up(sys, self._ah3(r, depth))
+            return self._empty_up(sys, self._induction(ah3_system(r), depth))
         if n == nhi:
             return self._oracle_leaf(sys, "empty")
         if n > nhi:

@@ -100,6 +100,51 @@ def test_tampered_side_condition_named(prover):
     assert name in res.reason
 
 
+def _drop(sides):
+    return sides.pop(1)["name"]
+
+
+def _add(sides):
+    sides.append({"name": "spare", "value": 0, "relation": "== 0"})
+    return "spare"
+
+
+def _rename(sides):
+    name, sides[1]["name"] = sides[1]["name"], "renamed"
+    return name
+
+
+def _relate(sides):
+    sides[1]["relation"] = "!= " + sides[1]["relation"].split()[1]
+    return sides[1]["name"]
+
+
+# a changed value is test_tampered_side_condition_named
+@pytest.mark.parametrize("tamper", [_drop, _add, _rename, _relate])
+def test_tampered_side_conditions_rejected_by_name(prover, tamper):
+    data = json.loads(certificate_to_json(prover.prove(3, 5, 14)))
+    name = tamper(data["side_conditions"])
+    res = verify(certificate_from_json(json.dumps(data)))
+    assert not res.accepted
+    assert res.path == () and f"side condition {name!r}" in res.reason
+
+
+def _derived_node(claim, rule, params, children=()):
+    """A node that records the side conditions its rule derives."""
+    return ProofNode(claim, rule, params, derive_application(claim, rule, params).sides, children)
+
+
+def test_sound_child_that_misses_the_requirement_rejected():
+    # the special plane quartic is soundly dim 0, but its five double points
+    # impose dependent conditions, so removing one proves nothing
+    special = _derived_node(Claim(LinearSystem.nodes(2, 4, 5), "dim", 0), "TABLE", {})
+    assert verify(special).accepted
+    down = _derived_node(Claim(LinearSystem.nodes(2, 4, 4), "non_special"), "MONOTONE_DOWN",
+                         {"parent": str(special.claim.system)}, (special,))
+    res = verify(down)
+    assert not res.accepted and "does not imply requirement 'h1_zero'" in res.reason
+
+
 def test_tampered_child_system_rejected(prover):
     cert = prover.prove(3, 5, 14)
     data = json.loads(certificate_to_json(cert))
@@ -428,6 +473,28 @@ def test_deep_in_memory_tree_rejected():
     assert verify(node) == VerifyResult(False, "certificate deeper than 64 levels", ())
 
 
+def _planar_chain(levels):
+    """A sound tree of ``levels`` levels: L(r=2,d=19; 2^k) is non-special for
+    k = 1..levels, each by MONOTONE_DOWN from k + 1, the last by its closed
+    form (3 * 65 conditions still fit in the 210 sections)."""
+
+    def claim(k):
+        return Claim(LinearSystem.nodes(2, 19, k), "non_special")
+
+    top = _derived_node(claim(levels), "CLOSED_FORM", {"family": "planar"})
+    for k in range(levels - 1, 0, -1):
+        top = _derived_node(claim(k), "MONOTONE_DOWN", {"parent": str(top.claim.system)}, (top,))
+    return top
+
+
+def test_depth_limit_read_from_node_heights():
+    assert _planar_chain(64).height == 64
+    assert verify(_planar_chain(64)).accepted
+    chain = _planar_chain(65)
+    assert chain.height == 65
+    assert verify(chain) == VerifyResult(False, "certificate deeper than 64 levels", ())
+
+
 def _oracle_dicts(data, acc):
     if "oracle" in data:
         acc.append(data)
@@ -451,17 +518,13 @@ def test_verify_stops_each_leaf_at_its_first_ceiling_trial(trial_calls):
     cert = certificate_from_json(json.dumps(data))
     trial_calls.clear()
     assert verify(cert).accepted
-    # one trial, not the stamped three; the twins share one re-run
-    assert [(s, t) for s, _, _, t in trial_calls] == [("L(r=3,d=3; 2^5)", 0)]
+    # one trial per twin leaf, not the stamped three
+    assert [(s, t) for s, _, _, t in trial_calls] == [("L(r=3,d=3; 2^5)", 0)] * 2
 
 
 def test_verify_reruns_each_system_and_stamp_once(trial_calls):
-    """The twin leaves share a (system, stamp) and so one re-run; a leaf
-    whose stamp differs gets a re-run of its own, and both are checked."""
+    """Each twin leaf is re-run under its own stamp, and both are checked."""
     data, leaves = _twin_leaf_certificate()
-    trial_calls.clear()
-    assert verify(certificate_from_json(json.dumps(data))).accepted
-    assert len(trial_calls) == 1
     leaves[1]["oracle"]["seed"] += 1
     trial_calls.clear()
     assert verify(certificate_from_json(json.dumps(data))).accepted
@@ -771,6 +834,27 @@ def _proof_dags(draw):
 @given(root=_proof_dags())
 def test_writer_matches_the_plain_encoding(root):
     assert certificate_to_json(root) == _plain_to_json(root)
+
+
+def _height(node):
+    return 1 + max((_height(c) for c in node.children), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root=_proof_dags(), data=st.data())
+def test_height_matches_the_recursive_height(root, data):
+    nodes = _preorder(root, [])
+    assert all(node.height == _height(node) for node in nodes)
+    node = data.draw(st.sampled_from(nodes), label="node")
+    children = tuple(data.draw(st.lists(st.sampled_from(nodes), max_size=3), label="children"))
+    moved = replace(node, children=children)
+    assert moved.height == _height(moved)
+    assert replace(node, rule="other").height == node.height
+    # a fact of the children, not a field of the node: not compared, shown or set
+    assert moved == replace(moved)
+    assert "height" not in repr(replace(moved, rule="ORACLE", params={}, side_conditions=()))
+    with pytest.raises(TypeError):
+        ProofNode(claim=node.claim, rule=node.rule, height=1)
 
 
 def _stamped_leaf(value=0):

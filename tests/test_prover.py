@@ -185,6 +185,17 @@ def test_prover_emits_only_catalog_variants(prover):
     assert not res.accepted and "double points only" in res.reason
 
 
+def test_quartic_nodes_take_the_catalog_rule(prover):
+    seen = set()
+    for r in range(3, 8):
+        for n in range(n_bounds(r, 4)[1] + 2):
+            for node in collect(prover.prove(r, 4, n)):
+                if node.rule.startswith("QUARTIC"):
+                    assert node.rule == certs_mod.quartic_rule(node.claim.system.r), node
+                    seen.add(node.rule)
+    assert seen == {"QUARTIC_R3", "QUARTIC_R4", "QUARTIC_GEN"}
+
+
 def test_certified_verdict_matches_oracle_sample(prover, cfg):
     # certificate vs oracle double-check on a small sample across tracks
     for (r, d, n) in [(3, 5, 14), (3, 6, 21), (4, 4, 14), (4, 4, 13), (5, 4, 21),
