@@ -10,6 +10,13 @@ columns | I_b]; if that window holds b pivots, the transform in I_b reduces
 the other columns with one product.  Otherwise a block of over 16 rows is
 halved, and a smaller one is eliminated row by row in int64 (exact).
 
+A trial's memory is one basis plus a few block-sized arrays.  R lives in one
+flat store of (n // 2) ((n + 1) // 2) floats, which k (n - k) never exceeds;
+each block rewrites it in place, ``_TILE`` (128) old rows at a time, each
+tile gathered before it is overwritten at the narrower new stride, then the
+block's new rows below.  The in-place products run in tiles of ``_TILE``
+rows, so a thread's reused product scratch holds at most 3 * 128 * n floats.
+
 Basis and blocks are integer-valued float64 balanced residues, at most
 (p + 1) // 2 <= 2^30 in absolute value, converted once when queued.
 ``matmul_mod(a, b, p, c=c)`` sets c -= a b by FFLAS's delayed reduction:
@@ -18,6 +25,8 @@ the smaller operand is split as 2^15 s_hi + s_lo (|s_hi| <= 2^15,
 exact (2^30 2^15 256 = 2^53).  One such chunk is reduced in float64 (see
 ``_reduce``); wider products, and the public int64 ``matmul_mod(a, b, p)``,
 sum their chunks in int64, reduced every 512 chunks (512 2^53 = 2^62).
+Column gathers use ``np.take(..., axis=1)``: ``x[:, idx]`` returns an
+F-ordered array, which the products' elementwise passes then walk strided.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ _WINDOW = 64  # least window width; blocks wider than twice the window try it fi
 _SMALL = 256  # _mod takes np.remainder below this many entries
 _CHUNK = 256  # inner width of one exact float64 product (2^30 * 2^15 * 256 = 2^53)
 _FLUSH = 512  # chunks summed in int64 between reductions (512 * 2^53 = 2^62)
+_TILE = 128  # rows of one in-place product, and of one step of the basis rewrite
 _local = threading.local()  # per-thread scratch of the in-place matmul_mod
 
 
@@ -66,10 +76,20 @@ def _scratch(shape: tuple[int, int]) -> np.ndarray:
     return _local.pool[: 3 * shape[0] * shape[1]].reshape(3, *shape)
 
 
+def _split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s_hi, s_lo)`` with s = 2^15 s_hi + s_lo, s_hi = rint(s 2^-15), in two arrays."""
+    hi = np.multiply(s, 2.0**-15)
+    np.rint(hi, out=hi)
+    lo = np.multiply(hi, -(2.0**15))
+    lo += s
+    return hi, lo
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = None) -> np.ndarray:
     """(a @ b) % p for int64 ``a``, ``b`` in [0, p); or, given ``c``, c -= a @ b
     in place on float64 balanced residues (all three at most (p + 1) // 2 in
-    absolute value), returning c.  Inner dimension 2^19 raises ``ValueError``."""
+    absolute value), returning c, in tiles of ``_TILE`` rows.  Inner dimension
+    2^19 raises ``ValueError``."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     k = a.shape[1]
@@ -80,42 +100,44 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = N
     if c is None:
         a, b = _reduce(a.astype(np.float64), p), _reduce(b.astype(np.float64), p)
     split_a = a.size <= b.size
-    u, s = (b, a) if split_a else (a, b)
-    s_hi = np.rint(s * 2.0**-15)
-    s_lo = s - s_hi * 2.0**15
-
-    def product(part: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
-        left, right = (part[:, cols], u[cols]) if split_a else (u[:, cols], part[cols])
-        return np.matmul(left, right, out=out)
-
-    shape = (a.shape[0], b.shape[1])
+    b_parts = None if split_a else _split(b)
+    tile = a.shape[0] if c is None else _TILE
+    shape = (min(tile, a.shape[0]), b.shape[1])
     x, t, y = _scratch(shape) if c is not None else (np.empty(shape) for _ in range(3))
-    if k <= _CHUNK and c is not None:
-        _reduce(product(s_hi, slice(None), x), p, t)
-        product(s_lo, slice(None), t)
-        x *= -(2.0**15)
-        x -= t
-        c += x
-        return _reduce(c, p, x)
-    hi, lo = t.view(np.int64), y.view(np.int64)
-    for i, start in enumerate(range(0, k, _CHUNK)):
-        for part, acc in ((s_hi, hi), (s_lo, lo)):
-            product(part, slice(start, start + _CHUNK), x)
-            if i:
-                np.add(acc, x, out=acc, dtype=np.int64, casting="unsafe")
-            else:
-                np.copyto(acc, x, casting="unsafe")
-        if i % _FLUSH == _FLUSH - 1:
-            _mod(hi, p)
-            _mod(lo, p)
-    _mod(hi, p)
-    hi <<= 15
-    hi += lo
-    _mod(hi, p)
-    if c is None:
-        return hi
-    c -= hi
-    return _reduce(c, p, x)
+    for i in range(0, a.shape[0], tile):
+        at, ct = a[i : i + tile], (None if c is None else c[i : i + tile])
+        xt, tt, yt = x[: len(at)], t[: len(at)], y[: len(at)]
+        terms = [(s, b) for s in _split(at)] if split_a else [(at, s) for s in b_parts]
+        if k <= _CHUNK and c is not None:
+            (hi_a, hi_b), (lo_a, lo_b) = terms
+            _reduce(np.matmul(hi_a, hi_b, out=xt), p, tt)
+            np.matmul(lo_a, lo_b, out=tt)
+            xt *= -(2.0**15)
+            xt -= tt
+            ct += xt
+            _reduce(ct, p, xt)
+            continue
+        hi, lo = tt.view(np.int64), yt.view(np.int64)
+        for n, start in enumerate(range(0, k, _CHUNK)):
+            cols = slice(start, start + _CHUNK)
+            for (left, right), acc in zip(terms, (hi, lo)):
+                np.matmul(left[:, cols], right[cols], out=xt)
+                if n:
+                    np.add(acc, xt, out=acc, dtype=np.int64, casting="unsafe")
+                else:
+                    np.copyto(acc, xt, casting="unsafe")
+            if n % _FLUSH == _FLUSH - 1:
+                _mod(hi, p)
+                _mod(lo, p)
+        _mod(hi, p)
+        hi <<= 15
+        hi += lo
+        _mod(hi, p)
+        if c is None:
+            return hi
+        ct -= hi
+        _reduce(ct, p, xt)
+    return c
 
 
 class RowReducer:
@@ -123,7 +145,8 @@ class RowReducer:
 
     The basis is ``(pivots, free, rest)``: row i, in the order found, is the
     unit vector at column ``pivots[i]`` plus ``rest[i]`` on ``free``, the
-    sorted non-pivot columns.  Rows are queued, as balanced residues, in one
+    sorted non-pivot columns; ``rest`` is a view of the one store that every
+    block rewrites in place.  Rows are queued, as balanced residues, in one
     ``(block, ncols)`` buffer, eliminated each time it fills, so feeding many
     small row groups stays cheap.  Reading :attr:`rank` flushes the buffer.
     """
@@ -138,7 +161,9 @@ class RowReducer:
         self.block = block
         self._pivots = np.zeros(0, dtype=np.intp)
         self._free = np.arange(ncols)
-        self._rest = np.zeros((0, ncols))
+        # k (ncols - k) entries, never more than (ncols // 2) ((ncols + 1) // 2)
+        self._store = np.empty((ncols // 2) * ((ncols + 1) // 2))
+        self._rest = self._store[:0].reshape(0, ncols)
         self._buf = np.empty((block, ncols))
         self._fill = 0
 
@@ -181,26 +206,41 @@ class RowReducer:
     def _absorb(self, blk: np.ndarray) -> None:
         # _extend copies what it keeps of blk, so the buffer can be refilled
         self._pivots, self._free, self._rest = _extend(
-            self._pivots, self._free, self._rest, blk, self.p
+            self._pivots, self._free, self._rest, blk, self.p, self._store
         )
 
 
 def _extend(
-    pivots: np.ndarray, free: np.ndarray, rest: np.ndarray, blk: np.ndarray, p: int
+    pivots: np.ndarray,
+    free: np.ndarray,
+    rest: np.ndarray,
+    blk: np.ndarray,
+    p: int,
+    store: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact RREF ``(pivots, free, rest)`` of rowspace(basis) +
-    rowspace(blk), given the basis in that form; new rows go below the old."""
-    red = blk[:, free]
+    rowspace(blk), given the basis in that form; new rows go below the old.
+    The new ``rest`` is written into the flat ``store`` (a fresh one if None),
+    which may hold the old ``rest``: each tile of ``_TILE`` old rows is read
+    before it is rewritten, at the new stride |keep| < |free|, so no write
+    reaches a row not yet read."""
+    red = np.take(blk, free, axis=1)
     if len(pivots):
-        matmul_mod(blk[:, pivots], rest, p, c=red)
+        matmul_mod(np.take(blk, pivots, axis=1), rest, p, c=red)
     new_piv, keep, new = _rref(red, p)
     if not new_piv.size:
         return pivots, free, rest
     k = len(pivots)
-    out = np.empty((k + new.shape[0], keep.size))
+    shape = (k + len(new_piv), keep.size)
+    if store is None:
+        store = np.empty(shape[0] * shape[1])
+    out = store[: shape[0] * shape[1]].reshape(shape)
+    for i in range(0, k, _TILE):
+        tile = rest[i : i + _TILE]
+        out[i : i + len(tile)] = matmul_mod(
+            np.take(tile, new_piv, axis=1), new, p, c=np.take(tile, keep, axis=1)
+        )
     out[k:] = new
-    if k:
-        matmul_mod(rest[:, new_piv], new, p, c=np.take(rest, keep, axis=1, out=out[:k]))
     return np.concatenate([pivots, free[new_piv]]), free[keep], out
 
 

@@ -1,13 +1,16 @@
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints import linalg
+from fatpoints import linalg, oracle
 from fatpoints.linalg import (
     _SMALL,
+    _TILE,
     _WINDOW,
     RowReducer,
     _mod,
@@ -266,6 +269,117 @@ def test_matmul_mod_exact_next_to_chunk_widths(p, k, m, n):
     assert ((got.astype(np.int64) - want) % p == 0).all()
 
 
+@pytest.mark.parametrize("p", [97, 2147483629, 2**31 - 1])
+@pytest.mark.parametrize("k", [255, 256, 257, 513])
+@pytest.mark.parametrize("m", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
+def test_in_place_product_tiles_match_int64_path(p, k, m):
+    """c -= a b in row tiles of _TILE, on either side of one tile and of two,
+    one 256-wide chunk and more: congruent to the public int64 product and
+    stored as balanced residues.  n = m + 1 splits a, tile by tile; n = 5
+    splits b, once."""
+    rng = np.random.default_rng([p % 1000, k, m])
+    top = (p + 1) // 2
+    for n in (m + 1, 5):
+        a, b, c = (rng.integers(0, p, shape) for shape in ((m, k), (k, n), (m, n)))
+        a[0], b[:, 0] = p // 2 + 1, p // 2 + 1  # balanced -(p - 1)/2, the largest products
+        want = (c - matmul_mod(a, b, p)) % p
+        fa, fb, fc = (_reduce(x.astype(np.float64), p) for x in (a, b, c))
+        got = matmul_mod(fa, fb, p, c=fc)
+        assert got is fc and (np.rint(got) == got).all() and np.abs(got).max() <= top
+        assert (got.astype(np.int64) % p == want).all()
+
+
+def _planted_groups(data, n: int, block: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Groups of ``block`` rows, each adding no new pivot (combinations of the
+    rows so far), one, or up to ``block`` (random rows); random groups are
+    drawn until the rows span all n columns, if the draw asks for it."""
+    rows = np.zeros((0, n), dtype=np.int64)
+    kinds = data.draw(st.lists(st.sampled_from(["none", "one", "all"]), min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        kinds += ["all"] * (n // block + 2)
+    for kind in kinds:
+        fresh = {"none": 0, "one": 1, "all": block}[kind]
+        group = rng.integers(0, p, (fresh, n))
+        span = np.vstack([rows, group])
+        mix = rng.integers(0, p, (block - fresh, len(span)))
+        rows = np.vstack([rows, group, matmul_mod(mix, span, p)])
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tiled_basis_rewrite_matches_naive(data):
+    """Blocks that add no pivot, one, or all of theirs, on a basis that
+    crosses several tile heights (shrunk to 2 to 5 rows here) and saturates
+    when the rows span every column, emptying the free columns.  The basis is
+    rewritten in place in the reducer's one store of
+    (n // 2) ((n + 1) // 2) entries."""
+    p = data.draw(st.sampled_from([2, 97, 2147483629, 2**31 - 1]))
+    n = data.draw(st.integers(1, 40))
+    block = data.draw(st.sampled_from([2, 3, 4, 8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    a = _planted_groups(data, n, block, p, rng)
+    want = rank_mod_p_naive(a, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_TILE", data.draw(st.integers(2, 5)))
+        red = RowReducer(n, p, block=block)
+        for start in range(0, len(a), block):
+            red.queue_rows(a[start : start + block])
+        assert red.rank == want
+    assert red._store.size == (n // 2) * ((n + 1) // 2)
+    assert red._rest.size == 0 or np.shares_memory(red._rest, red._store)
+    _check_basis(red, a, want, p)
+
+
+def test_tiled_basis_rewrite_matches_one_tile():
+    """At the real tile height: a basis of 300 rows on 400 columns, past two
+    tile heights, rewritten in tiles of _TILE rows is the RREF found with the
+    whole basis as one tile, after a block that adds no pivot and one that
+    adds some; then the last free columns go."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(22)
+    indep = rng.integers(0, p, (400, 400))
+    dep = matmul_mod(rng.integers(0, p, (64, 300)), indep[:300], p)
+    feeds = [indep[:300], dep, np.vstack([dep[:32], indep[300:340]]), indep[340:]]
+    rrefs = []
+    for tile in (_TILE, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_TILE", tile)
+            red = RowReducer(400, p)
+            assert [red.add_rows(rows) for rows in feeds[:3]] == [300, 300, 340]
+            rrefs.append((red._pivots.copy(), red._free.copy(), red._rest % p))
+            assert red.add_rows(feeds[3]) == 400 and red._rest.shape == (400, 0)
+    assert all((x == y).all() for x, y in zip(*rrefs))
+
+
+def test_trial_memory_is_one_basis_and_a_few_blocks():
+    """A generic 924-column trial (132 double points on P^6, degree 6, fed
+    point by point as in the benchmark's reducer probe) peaks below one basis
+    store of (n // 2) ((n + 1) // 2) floats plus 6 block-by-n arrays, and
+    leaves its thread, new so that its scratch starts empty, at most
+    3 _TILE n floats of product scratch."""
+    n, block, p = 924, 256, oracle.DEFAULT_PRIME
+    points = np.random.default_rng(924).integers(1, p, size=(132, 7), dtype=np.int64)
+    rows = [oracle.rows_for_point(6, 6, pt, 2, p) for pt in points]
+
+    def trial():
+        tracemalloc.start()
+        try:
+            red = RowReducer(n, p)
+            for group in rows:
+                red.queue_rows(group)
+            rank = red.rank
+            return rank, tracemalloc.get_traced_memory()[1], linalg._local.pool.size
+        finally:
+            tracemalloc.stop()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rank, peak, scratch = pool.submit(trial).result(timeout=120)
+    assert rank == n
+    assert peak < ((n // 2) * ((n + 1) // 2) + 6 * block * n) * 8
+    assert scratch <= 3 * _TILE * n
+
+
 def test_window_at_every_level_matches_base_case_windows():
     """A 256-row block on 600 columns tries its 256-column window at every
     halving level; blocks of 16 try only base-case windows.  The RREF of a
@@ -351,17 +465,20 @@ def test_queued_rows_become_balanced_residues(p):
 def test_threads_keep_their_own_scratch():
     """The in-place products reuse per-thread scratch: reducers running in
     more threads than cores, with a short switch interval, must each find
-    the serial RREF."""
+    the serial RREF, and each thread's scratch stays within 3 _TILE n floats."""
     p = 2**31 - 1
     rng = np.random.default_rng(7)
     mats = [rng.integers(0, p, (300, 600)) for _ in range(4)]
+    scratch = {}
 
     def rref(a):
         red = RowReducer(600, p)
         red.add_rows(a)
+        scratch[threading.get_ident()] = linalg._local.pool.size
         return red._pivots, red._rest % p
 
     want = [rref(a) for a in mats]
+    scratch.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -370,6 +487,7 @@ def test_threads_keep_their_own_scratch():
     finally:
         sys.setswitchinterval(interval)
     assert all((g[0] == w[0]).all() and (g[1] == w[1]).all() for g, w in zip(got, want * 2))
+    assert len(scratch) >= 2 and max(scratch.values()) <= 3 * _TILE * 600
 
 
 def test_identity_block_rank():
