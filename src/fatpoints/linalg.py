@@ -3,30 +3,29 @@
 The reducer keeps a growing RREF basis as [I | R], storing R on the free
 columns, and absorbs rows in blocks (256 by default) by recursive
 rank-profile elimination, after FFPACK's PLUQ: reduce the block against the
-basis with one modular product, take the block's RREF, then clear the new
-pivot columns from the basis with a second product.  A block of b rows on
-n > 2 w columns, w = max(b, 64), first takes the RREF of [its first w
-columns | I_b]; if that window holds b pivots, the transform in I_b reduces
-the other columns with one product.  Otherwise a block of over 16 rows is
-halved, and a smaller one is eliminated row by row in int64 (exact).
+basis, take its RREF, then clear the new pivot columns from the basis, each
+step by modular products.  A block of b rows on n > 2 w columns,
+w = max(b, 64), first takes the RREF of [its first w columns | I_b]; if that
+window holds b pivots, the transform in I_b reduces the other columns in
+place.  Otherwise a block of over 16 rows is halved, and a smaller one is
+eliminated row by row in int64 (exact).
 
-A trial's memory is one basis plus a few block-sized arrays.  R lives in one
-flat store of (n // 2) ((n + 1) // 2) floats, which k (n - k) never exceeds;
-each block rewrites it in place, ``_TILE`` (128) old rows at a time, each
-tile gathered before it is overwritten at the narrower new stride, then the
-block's new rows below.  The in-place products run in tiles of ``_TILE``
-rows, so a thread's reused product scratch holds at most 3 * 128 * n floats.
+A trial's working set is the basis store, the queue buffer and one block.
+R lives in one flat store of (n // 2) ((n + 1) // 2) floats, which
+k (n - k) never exceeds; each block rewrites it in place, ``_TILE`` (128)
+old rows at a time, each tile gathered before it is overwritten at the
+narrower new stride, then the block's new rows below.
 
 Basis and blocks are integer-valued float64 balanced residues, at most
-(p + 1) // 2 <= 2^30 in absolute value, converted once when queued.
-``matmul_mod(a, b, p, c=c)`` sets c -= a b by FFLAS's delayed reduction:
-the smaller operand is split as 2^15 s_hi + s_lo (|s_hi| <= 2^15,
-|s_lo| <= 2^14), so over an inner width of 256 both float64 products are
-exact (2^30 2^15 256 = 2^53).  One such chunk is reduced in float64 (see
-``_reduce``); wider products, and the public int64 ``matmul_mod(a, b, p)``,
-sum their chunks in int64, reduced every 512 chunks (512 2^53 = 2^62).
-Column gathers use ``np.take(..., axis=1)``: ``x[:, idx]`` returns an
-F-ordered array, which the products' elementwise passes then walk strided.
+(p + 1) // 2 <= 2^30 in absolute value, converted once when queued.  Every
+product runs one kernel, c -= a b by FFLAS's delayed reduction, over tiles
+of ``_TILE`` rows of a and chunks of 256 of the inner dimension: the smaller
+operand is split, a piece at a time, as 2^15 s_hi + s_lo (|s_hi| <= 2^15,
+|s_lo| <= 2^14), so both float64 products of a chunk are exact
+(2^30 2^15 256 = 2^53), and ``_reduce`` leaves |c| <= (p + 1) // 2 before
+the next chunk, so no inner width is too wide.  A thread's reused scratch
+holds at most 2 * 128 * n floats.  Column gathers use ``np.take(..., axis=1)``,
+which returns C order where ``x[:, idx]`` returns F order.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ _BASE_ROWS = 16  # blocks this small are eliminated row by row
 _WINDOW = 64  # least window width; blocks wider than twice the window try it first
 _SMALL = 256  # _mod takes np.remainder below this many entries
 _CHUNK = 256  # inner width of one exact float64 product (2^30 * 2^15 * 256 = 2^53)
-_FLUSH = 512  # chunks summed in int64 between reductions (512 * 2^53 = 2^62)
-_TILE = 128  # rows of one in-place product, and of one step of the basis rewrite
-_local = threading.local()  # per-thread scratch of the in-place matmul_mod
+_TILE = 128  # rows of one product step, and of one step of the basis rewrite
+_SPAN = 512  # columns of red that the window's transform updates per product
+_local = threading.local()  # per-thread scratch of the product kernel
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -70,10 +69,11 @@ def _reduce(x: np.ndarray, p: int, t: np.ndarray | None = None) -> np.ndarray:
 
 
 def _scratch(shape: tuple[int, int]) -> np.ndarray:
-    """A (3, *shape) float64 array, which this thread's next call reuses."""
-    if getattr(_local, "pool", np.empty(0)).size < 3 * shape[0] * shape[1]:
-        _local.pool = np.empty(3 * shape[0] * shape[1])
-    return _local.pool[: 3 * shape[0] * shape[1]].reshape(3, *shape)
+    """A (2, *shape) float64 array, which this thread's next call reuses."""
+    size = 2 * shape[0] * shape[1]
+    if getattr(_local, "pool", np.empty(0)).size < size:
+        _local.pool = np.empty(size)
+    return _local.pool[:size].reshape(2, *shape)
 
 
 def _split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,30 +85,21 @@ def _split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = None) -> np.ndarray:
-    """(a @ b) % p for int64 ``a``, ``b`` in [0, p); or, given ``c``, c -= a @ b
-    in place on float64 balanced residues (all three at most (p + 1) // 2 in
-    absolute value), returning c, in tiles of ``_TILE`` rows.  Inner dimension
-    2^19 raises ``ValueError``."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    k = a.shape[1]
-    if k >= 1 << 19:
-        raise ValueError("inner dimension too large for exact float64 products")
+def _subtract_product(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray) -> np.ndarray:
+    """c -= a b in place on float64 balanced residues, all three at most
+    (p + 1) // 2 in absolute value, as c is again after each chunk; the
+    operand with fewer entries is split per tile and chunk (a) or chunk (b)."""
     if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64) if c is None else c
-    if c is None:
-        a, b = _reduce(a.astype(np.float64), p), _reduce(b.astype(np.float64), p)
+        return c
+    x, t = _scratch((min(_TILE, a.shape[0]), b.shape[1]))
     split_a = a.size <= b.size
-    b_parts = None if split_a else _split(b)
-    tile = a.shape[0] if c is None else _TILE
-    shape = (min(tile, a.shape[0]), b.shape[1])
-    x, t, y = _scratch(shape) if c is not None else (np.empty(shape) for _ in range(3))
-    for i in range(0, a.shape[0], tile):
-        at, ct = a[i : i + tile], (None if c is None else c[i : i + tile])
-        xt, tt, yt = x[: len(at)], t[: len(at)], y[: len(at)]
-        terms = [(s, b) for s in _split(at)] if split_a else [(at, s) for s in b_parts]
-        if k <= _CHUNK and c is not None:
+    for s in range(0, a.shape[1], _CHUNK):
+        right = b[s : s + _CHUNK]
+        parts = None if split_a else _split(right)
+        for i in range(0, a.shape[0], _TILE):
+            left, ct = a[i : i + _TILE, s : s + _CHUNK], c[i : i + _TILE]
+            xt, tt = x[: len(ct)], t[: len(ct)]
+            terms = zip(_split(left), (right, right)) if split_a else zip((left, left), parts)
             (hi_a, hi_b), (lo_a, lo_b) = terms
             _reduce(np.matmul(hi_a, hi_b, out=xt), p, tt)
             np.matmul(lo_a, lo_b, out=tt)
@@ -116,28 +107,21 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = N
             xt -= tt
             ct += xt
             _reduce(ct, p, xt)
-            continue
-        hi, lo = tt.view(np.int64), yt.view(np.int64)
-        for n, start in enumerate(range(0, k, _CHUNK)):
-            cols = slice(start, start + _CHUNK)
-            for (left, right), acc in zip(terms, (hi, lo)):
-                np.matmul(left[:, cols], right[cols], out=xt)
-                if n:
-                    np.add(acc, xt, out=acc, dtype=np.int64, casting="unsafe")
-                else:
-                    np.copyto(acc, xt, casting="unsafe")
-            if n % _FLUSH == _FLUSH - 1:
-                _mod(hi, p)
-                _mod(lo, p)
-        _mod(hi, p)
-        hi <<= 15
-        hi += lo
-        _mod(hi, p)
-        if c is None:
-            return hi
-        ct -= hi
-        _reduce(ct, p, xt)
     return c
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, *, c: np.ndarray | None = None) -> np.ndarray:
+    """(a @ b) % p for int64 ``a``, ``b`` in [0, p); or, given ``c``, c -= a @ b
+    in place on float64 balanced residues (all three at most (p + 1) // 2 in
+    absolute value), returning c.  Both run one kernel, at any inner width."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    if c is not None:
+        return _subtract_product(a, b, p, c)
+    fa, fb = (_reduce(x.astype(np.float64), p) for x in (a, b))
+    x = np.negative(_subtract_product(fa, fb, p, np.zeros((len(a), b.shape[1])))).astype(np.int64)
+    x += (x >> 63) & p
+    return x
 
 
 class RowReducer:
@@ -204,7 +188,7 @@ class RowReducer:
         self._fill = 0
 
     def _absorb(self, blk: np.ndarray) -> None:
-        # _extend copies what it keeps of blk, so the buffer can be refilled
+        # _extend copies what it keeps of blk into the store; it may overwrite blk
         self._pivots, self._free, self._rest = _extend(
             self._pivots, self._free, self._rest, blk, self.p, self._store
         )
@@ -220,13 +204,18 @@ def _extend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact RREF ``(pivots, free, rest)`` of rowspace(basis) +
     rowspace(blk), given the basis in that form; new rows go below the old.
-    The new ``rest`` is written into the flat ``store`` (a fresh one if None),
-    which may hold the old ``rest``: each tile of ``_TILE`` old rows is read
-    before it is rewritten, at the new stride |keep| < |free|, so no write
-    reaches a row not yet read."""
-    red = np.take(blk, free, axis=1)
+    ``blk`` is reduced against the basis in its own rows, ``_TILE`` at a
+    time, and ``_rref`` may overwrite it, so callers pass rows they never
+    read again.  The new ``rest`` is written into the flat ``store`` (a fresh
+    one if None), which may hold the old ``rest``: each tile of ``_TILE`` old
+    rows is read before it is rewritten, at the new stride |keep| < |free|,
+    so no write reaches a row not yet read."""
+    red = blk[:, : free.size]
     if len(pivots):
-        matmul_mod(np.take(blk, pivots, axis=1), rest, p, c=red)
+        for i in range(0, len(blk), _TILE):
+            tile, left = red[i : i + _TILE], np.take(blk[i : i + _TILE], pivots, axis=1)
+            tile[:] = np.take(blk[i : i + _TILE], free, axis=1)
+            matmul_mod(left, rest, p, c=tile)
     new_piv, keep, new = _rref(red, p)
     if not new_piv.size:
         return pivots, free, rest
@@ -246,17 +235,23 @@ def _extend(
 
 def _rref(red: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact RREF of ``red``: the window, else the top half's RREF with the
-    bottom half absorbed into it, down to row-by-row base cases."""
+    bottom half absorbed into it, down to row-by-row base cases.  ``red`` may
+    be overwritten, and the returned rows may be a view of it: callers pass
+    the queue buffer, dead once ``_extend`` has copied the new rows into the
+    store, or rows they never read again (the halving's bottom half)."""
     b, n = red.shape
     w = max(b, _WINDOW)
     if n > 2 * w:
-        # RREF of [red[:, :w] | I_b].  If its b pivots lie in the window, I_b
-        # became the transform T, and T red[:, w:] = red[:, w:] - (I - T) red[:, w:].
+        # RREF of [red[:, :w] | I_b].  If its b pivots lie in the window, I_b became
+        # the transform T; red[:, w:] -= (I - T) red[:, w:] in place gives T red[:, w:].
         cols, keep, t = _rref(np.hstack([red[:, :w], np.eye(b)]), p)
         if (cols < w).all():
-            rest = np.hstack([t[:, : w - b], red[:, w:]])
-            matmul_mod(_reduce(np.eye(b) - t[:, w - b :], p), red[:, w:], p, c=rest[:, w - b :])
-            return cols, np.concatenate([keep[: w - b], np.arange(w, n)]), rest
+            red[:, b:w] = t[:, : w - b]
+            t = _reduce(np.eye(b) - t[:, w - b :], p)
+            for s in range(w, n, _SPAN):
+                part = red[:, s : s + _SPAN]
+                matmul_mod(t, part.copy(), p, c=part)
+            return cols, np.concatenate([keep[: w - b], np.arange(w, n)]), red[:, b:]
     if b > _BASE_ROWS:
         return _extend(*_rref(red[: b // 2], p), red[b // 2 :], p)
     a = red.astype(np.int64)
@@ -267,20 +262,24 @@ def _rref(red: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _row_loop(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Gauss-Jordan on int64 ``a`` in place (residues, balanced or not, in
-    [0, p) after); returns the rows that got a pivot and their pivot columns."""
+    [0, p) after); returns the rows that got a pivot and their pivot columns.
+    Each pivot is one rank-one update: a -= f a[i] with f = a[:, j] / a[i, j]
+    and f[i] = 1 - 1 / a[i, j] normalizes row i and clears column j."""
     rows: list[int] = []
     cols: list[int] = []
+    q = np.empty_like(a)
     for i in range(a.shape[0]):
-        nz = np.flatnonzero(a[i])
+        nz = a[i].nonzero()[0]
         if nz.size:
             j = int(nz[0])
-            row = a[i]
-            row *= pow(int(row[j]), -1, p)
-            _mod(row, p)
-            factors = a[:, j].copy()
-            factors[i] = 0
-            a -= factors[:, None] * row
-            _mod(a, p)
+            inv = pow(int(a[i, j]), -1, p)
+            f = np.remainder(a[:, j] * inv, p)
+            f[i] = (1 - inv) % p
+            np.multiply(f[:, None], a[i], out=q)
+            a -= q
+            np.floor_divide(a, p, out=q)
+            q *= p
+            a -= q
             rows.append(i)
             cols.append(j)
     return rows, cols

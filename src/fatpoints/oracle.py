@@ -196,7 +196,7 @@ def rows_for_point(
     for i in range(r + 1):
         v *= powers[:, i, exps_t[i]]
         _mod(v, p)
-    out = v[:, idx]
+    out = np.take(v, idx, axis=1)
     out *= coef
     return _mod(out, p).reshape(-1, idx.shape[1])
 

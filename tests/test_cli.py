@@ -186,7 +186,9 @@ def test_sweep_csv_bytes_pinned(capsys):
 
 def test_sweep_rows_match_all_trials(monkeypatch, capsys):
     """A sweep row stops at its first trial at min(conditions, columns) and
-    still prints the all-trials ``oracle_dim`` and ``special``."""
+    still prints the all-trials ``oracle_dim`` and ``special``; a row whose
+    certificate is an oracle leaf on its own system runs no trial of its
+    own, as the leaf's run reached the ceiling."""
     calls = []
     trial_rank = oracle_mod._trial_rank
 
@@ -208,6 +210,10 @@ def test_sweep_rows_match_all_trials(monkeypatch, capsys):
         seed = oracle_mod.derive_seed(3, r, d, n)
         ref = dimension(sys, replace(cfg, seed=seed))
         assert (row["oracle_dim"], row["special"]) == (ref.dim, ref.special), (r, d, n)
+        if row["rule"] == "ORACLE":
+            assert ran[(str(sys), seed)] == 0, (r, d, n)
+            assert ran[(str(sys), oracle_mod.derive_seed(3, sys))] >= 1, (r, d, n)
+            continue
         ceiling = min(sys.conditions_count(), sys.monomial_count())
         at_ceiling = [t for t, rank in enumerate(ref.per_trial_rank) if rank >= ceiling]
         want = at_ceiling[0] + 1 if at_ceiling else cfg.trials

@@ -355,9 +355,10 @@ def test_tiled_basis_rewrite_matches_one_tile():
 def test_trial_memory_is_one_basis_and_a_few_blocks():
     """A generic 924-column trial (132 double points on P^6, degree 6, fed
     point by point as in the benchmark's reducer probe) peaks below one basis
-    store of (n // 2) ((n + 1) // 2) floats plus 6 block-by-n arrays, and
-    leaves its thread, new so that its scratch starts empty, at most
-    3 _TILE n floats of product scratch."""
+    store of (n // 2) ((n + 1) // 2) floats plus 4.5 block-by-n arrays: the
+    queue buffer, one block and its transients.  It leaves its thread, new
+    so that its scratch starts empty, at most 2 _TILE n floats of product
+    scratch."""
     n, block, p = 924, 256, oracle.DEFAULT_PRIME
     points = np.random.default_rng(924).integers(1, p, size=(132, 7), dtype=np.int64)
     rows = [oracle.rows_for_point(6, 6, pt, 2, p) for pt in points]
@@ -376,8 +377,8 @@ def test_trial_memory_is_one_basis_and_a_few_blocks():
     with ThreadPoolExecutor(max_workers=1) as pool:
         rank, peak, scratch = pool.submit(trial).result(timeout=120)
     assert rank == n
-    assert peak < ((n // 2) * ((n + 1) // 2) + 6 * block * n) * 8
-    assert scratch <= 3 * _TILE * n
+    assert peak < ((n // 2) * ((n + 1) // 2) + 4.5 * block * n) * 8
+    assert scratch <= 2 * _TILE * n
 
 
 def test_window_at_every_level_matches_base_case_windows():
@@ -401,25 +402,56 @@ def test_window_at_every_level_matches_base_case_windows():
         assert all((x == y).all() for x, y in zip(*rrefs))
 
 
+def test_window_transform_in_place_across_column_spans():
+    """On 1300 columns a 256-row block's window transform updates red[:, 256:]
+    in place, in spans of 512 columns, the last one short; the RREF is the
+    one that 16-row blocks with no window find, whether the windows hold all
+    their pivots or only some, and with a basis already there."""
+    p = 2147483629
+    rng = np.random.default_rng(1300)
+    full = rng.integers(0, p, (600, 1300))
+    thin = matmul_mod(rng.integers(0, p, (600, 500)), rng.integers(0, p, (500, 1300)), p)
+    for a, want in ((full, 600), (thin, 500)):
+        rrefs = []
+        for block, window in ((256, _WINDOW), (16, 10**6)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_WINDOW", window)
+                red = RowReducer(1300, p, block=block)
+                assert red.add_rows(a) == want
+            order = np.argsort(red._pivots)
+            rrefs.append((red._pivots[order], red._free, red._rest[order] % p))
+        assert all((x == y).all() for x, y in zip(*rrefs))
+
+
+def test_absorbed_block_does_not_alias_the_queue_buffer():
+    """A first block, on an empty basis, is eliminated in the queue buffer
+    itself; the rows it keeps are copied into the store, so refilling the
+    buffer cannot change the basis."""
+    p = 97
+    a = np.random.default_rng(4).integers(0, p, (256, 700))
+    red = RowReducer(700, p)
+    assert red.add_rows(a) == 256
+    before = red._rest.copy()
+    assert not np.shares_memory(red._rest, red._buf)
+    red._buf[:] = np.nan
+    assert (red._rest == before).all()
+    _check_basis(red, a, 256, p)
+
+
 def test_matmul_mod_exact_at_inner_dimension_bound():
-    """Inner dimension 2^19 - 1, the widest the float64 products allow."""
+    """Inner dimension 2^19 - 1, where int64 sums of unreduced chunks would
+    pass 2^63, and 2^19 + 1, past the old limit: each 256-wide chunk is
+    reduced before the next, so no inner width is too wide."""
     p = 2**31 - 1
-    k = 2**19 - 1
-    a = np.full((1, k), p - 1, dtype=np.int64)
-    assert matmul_mod(a, a.T.copy(), p)[0, 0] == k * (p - 1) ** 2 % p
-
-
-def test_matmul_mod_rejects_inner_dimension_2_pow_19():
-    a = np.zeros((1, 2**19), dtype=np.int64)
-    with pytest.raises(ValueError, match="inner dimension"):
-        matmul_mod(a, a.T.copy(), 97)
+    for k in (2**19 - 1, 2**19 + 1):
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        assert matmul_mod(a, a.T.copy(), p)[0, 0] == k * (p - 1) ** 2 % p
 
 
 def _kernel_values(p: int) -> st.SearchStrategy[int]:
-    """Values the kernel reduces: differences in (-p, p), multiples of p,
-    base-case products up to (p - 1)^2 either sign, and matmul_mod's int64
-    sums: up to 512 chunks below 2^53 each, either sign, plus 2^15 times a
-    residue."""
+    """Values ``_mod`` reduces: differences in (-p, p), multiples of p and
+    the row loop's products up to (p - 1)^2 either sign; derivative rows and
+    queued rows of any int64 size, past 2^62 too."""
     top = 2**62 + 2**47
     return st.one_of(
         st.integers(-(p - 1), p - 1),
@@ -465,7 +497,7 @@ def test_queued_rows_become_balanced_residues(p):
 def test_threads_keep_their_own_scratch():
     """The in-place products reuse per-thread scratch: reducers running in
     more threads than cores, with a short switch interval, must each find
-    the serial RREF, and each thread's scratch stays within 3 _TILE n floats."""
+    the serial RREF, and each thread's scratch stays within 2 _TILE n floats."""
     p = 2**31 - 1
     rng = np.random.default_rng(7)
     mats = [rng.integers(0, p, (300, 600)) for _ in range(4)]
@@ -487,7 +519,7 @@ def test_threads_keep_their_own_scratch():
     finally:
         sys.setswitchinterval(interval)
     assert all((g[0] == w[0]).all() and (g[1] == w[1]).all() for g, w in zip(got, want * 2))
-    assert len(scratch) >= 2 and max(scratch.values()) <= 3 * _TILE * 600
+    assert len(scratch) >= 2 and max(scratch.values()) <= 2 * _TILE * 600
 
 
 def test_identity_block_rank():
