@@ -22,6 +22,7 @@ recorded ones, and re-runs oracle leaves.
 from __future__ import annotations
 
 import json
+import marshal
 import re
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -743,10 +744,44 @@ def _raw_fields(data: dict) -> tuple:
     )
 
 
+def _node_sharer() -> Callable[[dict], dict]:
+    """An ``object_hook`` for one ``json.loads``: a JSON object with a
+    ``"children"`` list comes back as the first equal object already built.
+
+    Objects are equal when their children are the same objects and their
+    other fields, in order, marshal to the same bytes.  Marshal format 2
+    writes each value with its type and each float in binary, which keeps
+    ``1``, ``1.0``, ``true``, ``"1"``, ``-0.0`` and ``0.0`` apart, and it
+    writes no back-references, so its bytes depend on the value alone; it
+    is about twice as fast as ``repr``.  The hook is called on each object
+    after the objects inside it, so a repeated subtree is shared from its
+    leaves up and its copy is dropped as soon as it is built.  Every id in
+    a key belongs to an object that the stored object holds, so no id is
+    reused while the hook lives.  An object the hook cannot key comes back
+    unshared, for the reader to judge; only the call itself can fail, when
+    it tips the recursion limit (see :func:`certificate_from_json`)."""
+    seen: dict[tuple, dict] = {}
+
+    def share(obj: dict) -> dict:
+        children = obj.get("children")
+        if type(children) is not list:
+            return obj
+        try:
+            own = marshal.dumps({k: v for k, v in obj.items() if k != "children"}, 2)
+        except (ValueError, RecursionError):
+            return obj
+        return seen.setdefault((own, *map(id, children)), obj)
+
+    return share
+
+
 class _Reader:
     """One read.  Equal subtrees come back as one shared node, as the
     generator builds them; each distinct system text is parsed once, and
-    each distinct raw spelling of a node's own fields is converted once."""
+    each distinct raw spelling of a node's own fields is converted once.
+    Each JSON object is read once: an object that occurs at many places in
+    the parsed tree (see :func:`_node_sharer`) costs one conversion, then
+    one depth check at each further place."""
 
     def __init__(self) -> None:
         self.systems: dict[str, LinearSystem] = {}
@@ -755,10 +790,18 @@ class _Reader:
         # converted own fields -> own id; "3" and 3 as a claim value share one
         self.own_ids: dict[tuple, int] = {}
         self.nodes: dict[tuple, ProofNode] = {}
+        # id of a JSON object read in full -> its node; the parsed tree holds every such object
+        self.objects: dict[int, ProofNode] = {}
 
     def node(self, data: dict, depth: int) -> ProofNode:
         if depth > MAX_DEPTH:
             raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
+        node = self.objects.get(id(data))
+        if node is not None:
+            # read without error before; only its deepest leaf may now lie too deep
+            if depth + node.height - 1 > MAX_DEPTH:
+                raise FatpointsError(f"certificate deeper than {MAX_DEPTH} levels")
+            return node
         try:
             raw = _raw_fields(data)
             own = self.fields.get(raw)
@@ -777,6 +820,7 @@ class _Reader:
         if node is None:
             params = dict(data.get("params", {}))
             node = self.nodes[key] = ProofNode(claim, rule, params, sides, children, oracle)
+        self.objects[id(data)] = node
         return node
 
     def _convert(self, data: dict) -> tuple:
@@ -839,9 +883,18 @@ def certificate_to_json(root: ProofNode) -> str:
 
 
 def certificate_from_json(text: str) -> ProofNode:
-    """Read a certificate; see :class:`_Reader` for what is shared."""
+    """Read a certificate; see :class:`_Reader` for what is shared.
+
+    Equal node objects are shared while ``json.loads`` builds them
+    (:func:`_node_sharer`), and each is converted and checked once, so a
+    read holds the text plus the distinct nodes, never the expanded tree
+    that a v1 file spells out."""
     try:
-        data = json.loads(text)
+        try:
+            data = json.loads(text, object_hook=_node_sharer())
+        except RecursionError:
+            # the hook's own frame can tip a parse that just fits; the plain parse decides
+            data = json.loads(text)
     except RecursionError as exc:
         raise FatpointsError("certificate nested too deeply to parse") from exc
     if not isinstance(data, dict):

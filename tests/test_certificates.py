@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from fatpoints import (
     FieldConfig,
     LinearSystem,
     ProofNode,
+    Prover,
     SideCondition,
     binom,
     certificate_from_json,
@@ -927,3 +929,179 @@ def test_single_field_mutations_read_back_as_pinned(mutation_sources):
                     out = type(exc).__name__ + ("" if isinstance(exc, TypeError) else f": {exc}")
                 digest.update(f"{key} {path} {new!r}\n{out}\n".encode())
     assert digest.hexdigest() == "bf9e70e5bc2b5d4cf989bbaa813f64345243a058c361bb4e33943e4159e619d6"
+
+
+# ---------------------------------------------------------------------------
+# the shared read against the plain read: json.loads without a hook, then
+# one _Reader over the expanded tree
+# ---------------------------------------------------------------------------
+
+
+def _plain_read(text):
+    """certificate_from_json without the object hook that shares nodes."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise FatpointsError("certificate nested too deeply to parse") from exc
+    if not isinstance(data, dict):
+        raise FatpointsError("a certificate is a JSON object")
+    if data.get("version") != 1:
+        raise FatpointsError(f"unsupported certificate version {data.get('version')!r}")
+    return certs_mod._Reader().node(data, 1)
+
+
+def _outcome(read, text):
+    """What a read gives: the certificate written back and its verdict, or
+    the exception's type and message."""
+    try:
+        root = read(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    try:
+        verdict = verify(root)
+    except BudgetError as exc:
+        verdict = str(exc)
+    return certificate_to_json(root), verdict, len({id(n) for n in _preorder(root, [])})
+
+
+def _assert_reads_alike(text):
+    shared, plain = _outcome(certificate_from_json, text), _outcome(_plain_read, text)
+    assert shared[:-1] == plain[:-1]
+    # the shared read never holds more node objects than the plain one
+    assert shared[-1] <= plain[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(root=_proof_dags())
+def test_shared_read_matches_the_plain_read(root):
+    _assert_reads_alike(certificate_to_json(root))
+
+
+def _node_text(*children, **own):
+    """A complete-family node's JSON text over the ``children`` texts, with
+    ``own`` fields replaced; a field given as "P" is there for the caller
+    to replace with raw JSON."""
+    node = {"children": "C", "claim": {"system": "L(r=2,d=2)", "assert": "non_special", "value": None},
+            "rule": "CLOSED_FORM", "params": {"family": "complete"},
+            "side_conditions": [{"name": "condition_count", "value": 0, "relation": "== 0"}]}
+    return json.dumps({**node, **own}).replace('"C"', f"[{', '.join(children)}]")
+
+
+def test_param_spellings_read_as_the_plain_read():
+    # a param spelled as each JSON type, both zeros and NaN, then three repeats
+    spellings = ["1", "1.0", "true", '"1"', "-0.0", "0.0", "NaN", "1", "-0.0", "NaN"]
+    text = _node_text(*(_node_text(params="P").replace('"P"', '{"family": "complete", "x": %s}' % s)
+                        for s in spellings), version=1)
+    _assert_reads_alike(text)
+    # the hook shares only equal spellings: 1, 1.0, true and "1" stay apart, and so do the zeros
+    kids = json.loads(text, object_hook=certs_mod._node_sharer())["children"]
+    assert len({id(kid) for kid in kids}) == 7
+    assert kids[7] is kids[0] and kids[8] is kids[4] and kids[9] is kids[6]
+    assert [repr(kid["params"]["x"]) for kid in kids[:7]] == ["1", "1.0", "True", "'1'", "-0.0", "0.0", "nan"]
+
+
+def test_claim_value_key_order_and_duplicate_keys_read_as_the_plain_read():
+    dim = {"system": "L(r=2,d=2)", "assert": "dim"}
+    as_text = _node_text(claim={**dim, "value": "5"})
+    as_int = _node_text(claim={**dim, "value": 5})
+    reordered = json.dumps(dict(reversed(json.loads(as_int).items())))
+    duplicate = as_int[:-1] + ', "rule": "TABLE", "rule": "CLOSED_FORM"}'
+    text = _node_text(as_text, as_int, reordered, duplicate, as_int, version=1)
+    _assert_reads_alike(text)
+    root = certificate_from_json(text)
+    # "5" and 5 convert to one claim, so all five children are one node
+    assert len({id(c) for c in root.children}) == 1 and root.children[0].claim.value == 5
+
+
+def _wrapped(text, levels):
+    """``text`` under a chain of ``levels`` complete-family nodes."""
+    for _ in range(levels):
+        text = _node_text(text)
+    return text
+
+
+@pytest.mark.parametrize("leaf_level", [64, 65])
+def test_depth_counted_through_a_shared_subtree(leaf_level):
+    # a 10-level subtree read first at level 2, then again under a chain
+    shared = _wrapped(_node_text(), 9)
+    chain = leaf_level - 11
+    text = _node_text(shared, _wrapped(shared, chain), version=1)
+    if leaf_level > certs_mod.MAX_DEPTH:
+        with pytest.raises(FatpointsError, match="certificate deeper than 64 levels"):
+            certificate_from_json(text)
+    else:
+        root = certificate_from_json(text)
+        assert root.height == leaf_level
+        first, under_chain = root.children
+        for _ in range(chain):
+            (under_chain,) = under_chain.children
+        assert under_chain is first
+    assert _outcome(certificate_from_json, text)[:2] == _outcome(_plain_read, text)[:2]
+
+
+def _nested(kind, n):
+    return '{"a": ' * n + "1" + "}" * n if kind == "object" else "[" * n + "]" * n
+
+
+def _deepest_parse(kind):
+    """The deepest nesting of ``kind`` that json.loads parses here."""
+    lo, hi = 1, 2
+    while True:
+        try:
+            json.loads(_nested(kind, hi))
+        except RecursionError:
+            break
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            json.loads(_nested(kind, mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+def test_hostile_children_read_as_the_plain_read():
+    leaf = _node_text()
+    for children in (["1", "2"], ["true"], [f"[{leaf}]"], [leaf, f"[[{leaf}]]"],
+                     ['"x"'], ["null"], ["{}"], ['{"children": [1], "rule": "ORACLE"}']):
+        text = _node_text(*children, version=1)
+        got = _outcome(certificate_from_json, text)
+        assert got == _outcome(_plain_read, text)
+        assert len(got) == 2  # refused
+    for value in ('"abc"', "{}", '{"a": 1}', "7", "null"):
+        _assert_reads_alike(_node_text(version=1, children="P").replace('"P"', value))
+    # nodes over 1, true and 1.0 are never one object
+    kids = json.loads(_node_text(*(_node_text(c) for c in ("1", "true", "1.0")), version=1),
+                      object_hook=certs_mod._node_sharer())["children"]
+    assert len({id(kid) for kid in kids}) == 3
+
+
+@pytest.mark.parametrize("kind", ["object", "array"])
+def test_own_fields_nested_near_the_parser_limit_read_as_the_plain_read(kind):
+    deepest = _deepest_parse(kind)
+    outcomes = set()
+    for n in range(deepest - 8, deepest + 3):
+        for own in ({"params": "P"}, {"claim": "P"}):
+            text = _node_text(version=1, **own).replace('"P"', _nested(kind, n))
+            got = _outcome(certificate_from_json, text)
+            assert got == _outcome(_plain_read, text)
+            outcomes.add(got)
+    # the range reaches both sides of the parser's limit
+    assert ("FatpointsError", "certificate nested too deeply to parse") in outcomes
+    assert len(outcomes) > 1
+
+
+def test_read_memory_follows_the_distinct_nodes():
+    text = certificate_to_json(Prover(FieldConfig(seed=1)).prove(20, 5, 2530))
+    tracemalloc.start()
+    try:
+        root = certificate_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert root.height == 37
+    # the expanded tree alone took 14 MB as dicts
+    assert peak < len(text)
+    assert certificate_to_json(root) == text

@@ -1,8 +1,11 @@
+import argparse
+import gc
 import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
 
+import fatpoints.cli as cli_mod
 import fatpoints.oracle as oracle_mod
 from fatpoints import FieldConfig, LinearSystem, dimension
 from fatpoints.cli import EXIT_BUDGET, EXIT_OK, EXIT_REJECT, EXIT_USAGE, SWEEP_CSV_HEADER, main
@@ -278,3 +281,17 @@ def test_verify_list_parameter_exit_one(tmp_path, capsys):
         cert.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", str(cert))
         assert code == EXIT_REJECT and "Reject" in err
+
+
+def test_no_parser_alive_while_a_command_runs(monkeypatch):
+    alive = []
+
+    def spy(args):
+        gc.collect()
+        alive.extend(o for o in gc.get_objects()
+                     if isinstance(o, argparse.ArgumentParser) and o.prog == "fatpoints")
+        return EXIT_OK
+
+    monkeypatch.setattr(cli_mod, "cmd_dim", spy)
+    assert main(["dim", "L(r=2,d=2)"]) == EXIT_OK
+    assert alive == []

@@ -81,6 +81,13 @@ MUTANTS = [
         "        if False:",
         CERT_TESTS,
     ),
+    Mutant(
+        "a subtree read before not depth-checked where it occurs again",
+        CERTS,
+        "            if depth + node.height - 1 > MAX_DEPTH:",
+        "            if False:",
+        CERT_TESTS,
+    ),
 ]
 
 
